@@ -28,7 +28,6 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=50)
     parser.add_argument("--sample-size", type=int, default=5)
     parser.add_argument("--eps", type=float, default=1e-4)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", help="optional results CSV path")
     args = parser.parse_args()
 
@@ -49,7 +48,6 @@ def main() -> int:
         iterations=args.iterations,
         sample_size=args.sample_size,
         seed=args.bench_seed,
-        workers=args.workers,
     )
 
     print(f"{'configuration':<72} {'delta':>7} {'phi':>7}")

@@ -60,7 +60,6 @@ def main() -> int:
     parser.add_argument("--qrels", help="raw qrels file to convert to judgements.tsv first")
     parser.add_argument("--eps", type=float, default=1e-4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
     parser.add_argument("--out", default="trec-results.csv")
     args = parser.parse_args()
     if not args.mesh_dir or not args.trec_dir:
@@ -98,7 +97,7 @@ def main() -> int:
     artifacts = ArtifactSet(vocab=vocab, corpus=corpus, eps=args.eps)
     results = parameter_sweep(
         reference_configs(args.eps), artifacts, filtered,
-        seed=args.seed, workers=args.workers,
+        seed=args.seed,
     )
     write_results_csv(results, args.out)
 

@@ -14,13 +14,11 @@ Protocol, given per-topic relevance judgements over a corpus:
   confusion matrix summarized by Matthews' phi.
 
 All sampling derives from one integer seed via per-(topic, iteration)
-SHA-256 substreams, so results do not depend on worker count or on Python's
-hash randomization.
+SHA-256 substreams, so results do not depend on Python's hash randomization.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import enum
 import hashlib
@@ -171,11 +169,6 @@ class Confusion:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def __add__(self, other: "Confusion") -> "Confusion":
-        return Confusion(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
 
 def mcc(conf: Confusion) -> float:
     """Matthews correlation; 0.0 (with a warning) when any margin is empty."""
@@ -244,47 +237,12 @@ def stable_sample(pool: Sequence[str], k: int, rng: random.Random) -> list[str]:
 ScoreFn = Callable[[str, str], float]
 
 
-def _classify_task(
-    topic: str,
-    iteration: int,
-    relevant: Sequence[str],
-    not_relevant: Sequence[str],
-    levels: dict[str, Level],
-    docs: Sequence[str],
-    score_fn: ScoreFn,
-    sample_size: int,
-    seed: int,
-) -> Confusion:
-    rng = random.Random(derive_substream_seed(seed, topic, iteration))
-    seeds_rel = stable_sample(relevant, sample_size, rng)
-    seeds_not = stable_sample(not_relevant, sample_size, rng)
-    sampled = set(seeds_rel) | set(seeds_not)
-    tp = fp = tn = fn = 0
-    for doc in docs:
-        if doc in sampled:
-            continue
-        best_rel = max(score_fn(doc, s) for s in seeds_rel)
-        best_not = max(score_fn(doc, s) for s in seeds_not)
-        predicted = best_rel > best_not  # tie -> not relevant
-        actual = levels[doc] == Level.RELEVANT
-        if predicted and actual:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif actual:
-            fn += 1
-        else:
-            tn += 1
-    return Confusion(tp, fp, tn, fn)
-
-
 def classification_test(
     judgements: Sequence[RelevanceJudgement],
     score_fn: ScoreFn,
     iterations: int = DEFAULT_ITERATIONS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    workers: int = 1,
 ) -> Confusion:
     """Sampled max-similarity classification over all topics.
 
@@ -299,7 +257,7 @@ def classification_test(
         if j.level == Level.POSSIBLY_RELEVANT:
             raise ValueError("classification_test expects filtered judgements (levels 0/2 only)")
         by_topic.setdefault(j.topic, {})[j.doc] = j.level
-    tasks: list[tuple] = []
+    topics = []
     for topic in sorted(by_topic):
         levels = by_topic[topic]
         docs = sorted(levels)
@@ -311,24 +269,30 @@ def classification_test(
                 f"{len(relevant)} relevant / {len(not_relevant)} not relevant, "
                 f"need {sample_size} of each"
             )
-        for it in range(iterations):
-            tasks.append((topic, it, relevant, not_relevant, levels, docs))
-
-    def run(task) -> Confusion:
-        topic, it, relevant, not_relevant, levels, docs = task
-        return _classify_task(
-            topic, it, relevant, not_relevant, levels, docs, score_fn, sample_size, seed
-        )
-
-    confusion = Confusion()
-    if workers <= 1:
-        for task in tasks:
-            confusion = confusion + run(task)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run, tasks):
-                confusion = confusion + part
-    return confusion
+        topics.append((topic, levels, docs, relevant, not_relevant))
+    tp = fp = tn = fn = 0
+    for topic, levels, docs, relevant, not_relevant in topics:
+        for iteration in range(iterations):
+            rng = random.Random(derive_substream_seed(seed, topic, iteration))
+            seeds_rel = stable_sample(relevant, sample_size, rng)
+            seeds_not = stable_sample(not_relevant, sample_size, rng)
+            sampled = set(seeds_rel) | set(seeds_not)
+            for doc in docs:
+                if doc in sampled:
+                    continue
+                best_rel = max(score_fn(doc, s) for s in seeds_rel)
+                best_not = max(score_fn(doc, s) for s in seeds_not)
+                predicted = best_rel > best_not  # tie -> not relevant
+                actual = levels[doc] == Level.RELEVANT
+                if predicted and actual:
+                    tp += 1
+                elif predicted:
+                    fp += 1
+                elif actual:
+                    fn += 1
+                else:
+                    tn += 1
+    return Confusion(tp, fp, tn, fn)
 
 
 class ScoreSource:
@@ -375,31 +339,14 @@ class BenchResult:
 def _score_population(
     triples: Sequence[tuple[str, str, str]],
     source: ScoreSource,
-    workers: int,
     errors: list[str],
 ) -> list[float]:
-    def score_one(triple: tuple[str, str, str]) -> float | str:
-        topic, a, b = triple
-        try:
-            return source(a, b)
-        except VocabrelError as exc:
-            return f"{topic}/{a}/{b}: {exc}"
-
-    results: Iterable[float | str]
-    if workers <= 1:
-        results = map(score_one, triples)
-    else:
-        chunk = max(1, (len(triples) + workers * 4 - 1) // (workers * 4))
-        split = [triples[i : i + chunk] for i in range(0, len(triples), chunk)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = pool.map(lambda part: [score_one(t) for t in part], split)
-            results = (r for batch in batches for r in batch)
     scores: list[float] = []
-    for r in results:
-        if isinstance(r, str):
-            errors.append(r)
-        else:
-            scores.append(r)
+    for topic, a, b in triples:
+        try:
+            scores.append(source(a, b))
+        except VocabrelError as exc:
+            errors.append(f"{topic}/{a}/{b}: {exc}")
     return scores
 
 
@@ -410,7 +357,6 @@ def run_benchmark(
     iterations: int = DEFAULT_ITERATIONS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    workers: int = 1,
     dump: tuple[list[float], list[float]] | None = None,
 ) -> BenchResult:
     """Run both protocols for one configuration over filtered judgements.
@@ -423,8 +369,8 @@ def run_benchmark(
     pairs = build_pairs(judgements)
     source = ScoreSource(corpus, scorer)
     errors: list[str] = []
-    same_scores = _score_population(pairs.same_topic, source, workers, errors)
-    sep_scores = _score_population(pairs.separate_topic, source, workers, errors)
+    same_scores = _score_population(pairs.same_topic, source, errors)
+    sep_scores = _score_population(pairs.separate_topic, source, errors)
     for msg in errors[:10]:
         log.warning("pair skipped: %s", msg)
     if len(errors) > 10:
@@ -446,8 +392,7 @@ def run_benchmark(
             return math.nan
 
     confusion = classification_test(
-        judgements, source, iterations=iterations, sample_size=sample_size,
-        seed=seed, workers=workers,
+        judgements, source, iterations=iterations, sample_size=sample_size, seed=seed
     )
     return BenchResult(
         config=scorer.config,
@@ -466,7 +411,11 @@ def run_benchmark(
 
 @dataclass
 class ArtifactSet:
-    """Shared inputs for a sweep: IC table and lazily built similarity matrices."""
+    """Shared inputs for a sweep: IC table and lazily built similarity matrices.
+
+    ``eps`` is only the default floor for ``matrix``; a scorer's matrix uses
+    the floor of its own configuration.
+    """
 
     vocab: Vocabulary
     corpus: Corpus | None = None
@@ -497,12 +446,14 @@ class ArtifactSet:
                 raise VocabrelError(f"unknown graph kind {kind!r}")
         return self._graphs[kind]
 
-    def matrix(self, kind: str, lam: float) -> SimMatrix:
-        key = (kind, lam, self.eps)
+    def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
+        if eps is None:
+            eps = self.eps
+        key = (kind, lam, eps)
         if key not in self._matrices:
             restrict = self.corpus.term_ids() if self.corpus is not None else None
             self._matrices[key] = similarity_matrix(
-                self.graph(kind), lam=lam, eps=self.eps, restrict=restrict
+                self.graph(kind), lam=lam, eps=eps, restrict=restrict
             )
         return self._matrices[key]
 
@@ -512,7 +463,7 @@ class ArtifactSet:
         matrix = None
         if config.uses_graph:
             assert config.graph is not None and config.lam is not None
-            matrix = self.matrix(config.graph, config.lam)
+            matrix = self.matrix(config.graph, config.lam, config.eps)
         return Scorer(config=config, ic=ic, matrix=matrix)
 
 
@@ -523,7 +474,6 @@ def parameter_sweep(
     iterations: int = DEFAULT_ITERATIONS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[BenchResult]:
     """Benchmark every configuration, reusing IC tables and matrices.
 
@@ -539,8 +489,7 @@ def parameter_sweep(
             results.append(
                 run_benchmark(
                     artifacts.corpus, judgements, scorer,
-                    iterations=iterations, sample_size=sample_size,
-                    seed=seed, workers=workers,
+                    iterations=iterations, sample_size=sample_size, seed=seed,
                 )
             )
         except VocabrelError as exc:
@@ -566,28 +515,17 @@ def write_results_csv(results: Sequence[BenchResult], dest) -> None:
     failure notes) belongs in the accompanying manifest, not in extra columns.
     """
     with _open_out(dest) as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
         for r in results:
-            cfg = r.config
-            in_table = dict(pair.split("=", 1) for pair in cfg.tag().split(" "))
+            params = r.config.fields()
+            if r.config.qualifiers and params["vector"] != ".":
+                params["vector"] += "+q"
+            stats = (r.delta, r.phi, r.mean_same, r.mean_separate, r.skew_same, r.skew_separate)
             writer.writerow(
-                {
-                    "method": cfg.method_label,
-                    "vector": in_table["vector"]
-                    + ("+q" if cfg.qualifiers and in_table["vector"] != "." else ""),
-                    "graph": in_table["graph"],
-                    "w": in_table["w"],
-                    "lambda": in_table["lambda"],
-                    "slim": in_table["slim"],
-                    "delta": _fmt(r.delta),
-                    "phi": _fmt(r.phi),
-                    "mean_same": _fmt(r.mean_same),
-                    "mean_sep": _fmt(r.mean_separate),
-                    "skew_same": _fmt(r.skew_same),
-                    "skew_sep": _fmt(r.skew_separate),
-                    "n_errors": r.n_errors,
-                }
+                [params[name] for name in ("method", "vector", "graph", "w", "lambda", "slim")]
+                + [_fmt(value) for value in stats]
+                + [r.n_errors]
             )
 
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -43,7 +45,7 @@ from .benchmark import (
     write_distributions,
     write_results_csv,
 )
-from .errors import ConfigError, CycleError, VocabrelError
+from .errors import ConfigError, CycleError, ParseError, VocabrelError
 from .infocontent import FreqTable, load_frequencies, load_ic_table, save_ic_table
 from .mesh import convert_mesh
 from .model import (
@@ -103,19 +105,22 @@ def _write_manifest(
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-class ArtifactCache:
-    """Digest-keyed store of IC tables and similarity matrices."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path(self, kind: str, key: str) -> Path:
-        return self.root / f"{kind}-{key[:24]}.tsv"
+def _save_atomically(save, artifact, path: Path) -> None:
+    """Write through a temporary file in the same directory, then move it into place."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        save(artifact, tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class Workspace(ArtifactSet):
-    """ArtifactSet that checks the file cache before building anything."""
+    """ArtifactSet that checks the file cache before building anything.
+
+    Cache files are named by a digest of the inputs and parameters.  A file
+    that fails to load (cut short, edited) is reported and rebuilt.
+    """
 
     def __init__(
         self,
@@ -127,49 +132,56 @@ class Workspace(ArtifactSet):
         tokens: dict[str, str],
     ):
         super().__init__(vocab=vocab, corpus=corpus, freq=freq, eps=eps)
-        self._cache = ArtifactCache(cache_dir) if cache_dir else None
+        self._cache = Path(cache_dir) if cache_dir else None
+        if self._cache is not None:
+            self._cache.mkdir(parents=True, exist_ok=True)
         self._tokens = tokens
 
-    def ic_table(self):
-        if self._ic is not None:
-            return self._ic
-        if self._cache is not None:
-            key = _digest("ic", self._tokens["vocab"], self._tokens["freqsrc"])
-            path = self._cache.path("ic", key)
-            if path.exists():
-                log.info("cache hit: IC table %s", path.name)
-                self._ic = load_ic_table(path)
-                return self._ic
-            table = super().ic_table()
-            save_ic_table(table, path)
-            return table
-        return super().ic_table()
+    def _cache_path(self, kind: str, *parts: str) -> Path:
+        assert self._cache is not None
+        return self._cache / f"{kind}-{_digest(kind, *parts)[:24]}.tsv"
 
-    def matrix(self, kind: str, lam: float) -> SimMatrix:
-        mkey = (kind, lam, self.eps)
-        cached = self._matrices.get(mkey)
-        if cached is not None:
-            return cached
-        if self._cache is not None:
-            parts = [
-                "simmatrix", kind, f"{lam:.17g}", f"{self.eps:.17g}",
-                self._tokens["vocab"], self._tokens["restrict"],
-            ]
-            if kind == "dic":
-                parts.append(self._tokens["freqsrc"])
-            path = self._cache.path("simmatrix", _digest(*parts))
-            if path.exists():
+    def ic_table(self):
+        if self._ic is not None or self._cache is None:
+            return super().ic_table()
+        path = self._cache_path("ic", self._tokens["vocab"], self._tokens["freqsrc"])
+        if path.exists():
+            try:
+                self._ic = load_ic_table(path)
+                log.info("cache hit: IC table %s", path.name)
+                return self._ic
+            except (ParseError, UnicodeDecodeError) as exc:
+                log.warning("cached IC table unreadable, rebuilding: %s", exc)
+        table = super().ic_table()
+        _save_atomically(save_ic_table, table, path)
+        return table
+
+    def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
+        if eps is None:
+            eps = self.eps
+        if (kind, lam, eps) in self._matrices or self._cache is None:
+            return super().matrix(kind, lam, eps)
+        parts = [
+            kind, f"{lam:.17g}", f"{eps:.17g}", self._tokens["vocab"], self._tokens["restrict"],
+        ]
+        if kind == "dic":
+            parts.append(self._tokens["freqsrc"])
+        path = self._cache_path("simmatrix", *parts)
+        if path.exists():
+            try:
                 matrix = SimMatrix.load(path)
+            except (ParseError, UnicodeDecodeError) as exc:
+                log.warning("cached similarity matrix unreadable, rebuilding: %s", exc)
+            else:
                 # digest collisions are hypothetical, header mismatches are not
-                if (matrix.kind, matrix.lam, matrix.eps) == (kind, lam, self.eps):
+                if (matrix.kind, matrix.lam, matrix.eps) == (kind, lam, eps):
                     log.info("cache hit: similarity matrix %s", path.name)
-                    self._matrices[mkey] = matrix
+                    self._matrices[(kind, lam, eps)] = matrix
                     return matrix
                 log.warning("cached matrix %s does not match config, rebuilding", path.name)
-            matrix = super().matrix(kind, lam)
-            matrix.save(path)
-            return matrix
-        return super().matrix(kind, lam)
+        matrix = super().matrix(kind, lam, eps)
+        _save_atomically(SimMatrix.save, matrix, path)
+        return matrix
 
 
 def _workspace(args: argparse.Namespace) -> Workspace:
@@ -307,15 +319,14 @@ def cmd_relate(args: argparse.Namespace) -> None:
         pairs = read_pairs(args.pairs)
     else:
         ids = sorted(ws.corpus.documents)
-        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+        pairs = itertools.combinations(ids, 2)
     errors: list = []
-    results = pairwise_scores(ws.corpus, pairs, scorer, errors=errors, workers=args.workers)
-    n = write_scores(args.out, config.tag(), results)
+    n = write_scores(args.out, config.tag(), pairwise_scores(ws.corpus, pairs, scorer, errors))
     for id_a, id_b, msg in errors[:10]:
         log.warning("pair (%s, %s) skipped: %s", id_a, id_b, msg)
     if len(errors) > 10:
         log.warning("... and %d more skipped pairs", len(errors) - 10)
-    log.info("scored %d of %d pairs (%d errors) -> %s", n, len(pairs), len(errors), args.out)
+    log.info("scored %d of %d pairs (%d errors) -> %s", n, n + len(errors), len(errors), args.out)
     _write_manifest(
         "relate", args,
         [args.vocab, args.corpus, args.freq_table, args.pairs],
@@ -334,7 +345,7 @@ def cmd_bench(args: argparse.Namespace) -> None:
     result = run_benchmark(
         ws.corpus, filtered, scorer,
         iterations=args.iterations, sample_size=args.sample_size,
-        seed=args.seed, workers=args.workers, dump=dump_lists,
+        seed=args.seed, dump=dump_lists,
     )
     tag = (
         f"{config.tag()} seed={args.seed} iterations={args.iterations} "
@@ -450,8 +461,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     log.info("sweeping %d configuration(s)", len(configs))
     results = parameter_sweep(
         configs, ws, filtered,
-        iterations=args.iterations, sample_size=args.sample_size,
-        seed=args.seed, workers=args.workers,
+        iterations=args.iterations, sample_size=args.sample_size, seed=args.seed,
     )
     write_results_csv(results, args.out)
     failed = sum(1 for r in results if r.note)
@@ -576,7 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_out.add_argument("--out", required=True, help="output file")
 
     p_workers = argparse.ArgumentParser(add_help=False)
-    p_workers.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    p_workers.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility and ignored: scoring runs in one thread",
+    )
 
     p_method = argparse.ArgumentParser(add_help=False)
     p_method.add_argument(

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .errors import CycleError, MissingDataError, ParseError, VocabrelError
-from .model import Corpus, TermId, Vocabulary, _iter_lines, _open_out
+from .model import Corpus, TermId, Vocabulary, _header_fields, _iter_lines, _open_out
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,14 @@ def information_content(
     denominator = sum(aggregate.values())
     if denominator == 0:
         raise VocabrelError("no term occurrences: cannot compute information content")
-    ic: dict[TermId, float] = {}
-    zero: set[TermId] = set()
-    for tid, agg in aggregate.items():
-        if agg == 0:
-            zero.add(tid)
-            ic[tid] = -math.log(1.0 / denominator)
-        else:
-            ic[tid] = -math.log(agg / denominator)
-    return ICTable(
-        ic=ic, aggregate=aggregate, denominator=denominator, zero_aggregate=frozenset(zero)
-    )
+    ic = {tid: _ic_value(agg, denominator) for tid, agg in aggregate.items()}
+    zero = frozenset(tid for tid, agg in aggregate.items() if agg == 0)
+    return ICTable(ic=ic, aggregate=aggregate, denominator=denominator, zero_aggregate=zero)
+
+
+def _ic_value(aggregate: int, denominator: int) -> float:
+    # a zero aggregate counts as one occurrence: the maximum finite IC
+    return -math.log(max(aggregate, 1) / denominator)
 
 
 def save_ic_table(table: ICTable, dest: str | Path | IO[str]) -> None:
@@ -152,7 +149,7 @@ def load_ic_table(source: str | Path | IO[str] | Iterable[str]) -> ICTable:
         raise ParseError("empty IC table file", path) from None
     if not header.startswith("#ictable"):
         raise ParseError("missing '#ictable' header", path, 1)
-    fields = dict(part.split("=", 1) for part in header.split()[1:])
+    fields = _header_fields(header, path)
     ic: dict[TermId, float] = {}
     aggregate: dict[TermId, int] = {}
     for lineno, line in enumerate(lines, start=2):
@@ -163,14 +160,26 @@ def load_ic_table(source: str | Path | IO[str] | Iterable[str]) -> ICTable:
         if len(parts) != 3:
             raise ParseError("expected 'term<TAB>aggregate<TAB>ic'", path, lineno)
         tid, agg_raw, ic_raw = parts
-        aggregate[tid] = int(agg_raw)
-        ic[tid] = float(ic_raw)
+        try:
+            aggregate[tid] = int(agg_raw)
+            ic[tid] = float(ic_raw)
+        except ValueError:
+            raise ParseError(f"bad aggregate {agg_raw!r} or IC {ic_raw!r}", path, lineno) from None
     denominator = sum(aggregate.values())
-    declared = int(fields.get("denominator", denominator))
+    try:  # both fields are required, so that a table cut inside its header fails to load
+        declared_n = int(fields["n"])
+        declared = int(fields["denominator"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"bad header field: {exc}", path, 1) from None
+    if declared_n != len(ic):
+        raise ParseError(f"header declares {declared_n} terms, file holds {len(ic)}", path)
     if declared != denominator:
         raise ParseError(
             f"declared denominator {declared} != sum of aggregates {denominator}", path
         )
+    for tid, value in ic.items():  # also catches a file cut inside its last number
+        if value != _ic_value(aggregate[tid], denominator):
+            raise ParseError(f"IC {value!r} of {tid!r} does not match its aggregate", path)
     zero = frozenset(t for t, a in aggregate.items() if a == 0)
     return ICTable(ic=ic, aggregate=aggregate, denominator=denominator, zero_aggregate=zero)
 

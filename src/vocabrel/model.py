@@ -162,6 +162,17 @@ def _open_out(dest: str | Path | IO[str]):
         yield dest
 
 
+def _header_fields(header: str, path: str | None) -> dict[str, str]:
+    """The ``key=value`` fields that follow the ``#kind`` word of a header line."""
+    fields: dict[str, str] = {}
+    for part in header.split()[1:]:
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ParseError(f"header field {part!r} is not key=value", path, 1)
+        fields[key] = value
+    return fields
+
+
 def _record(line: str, path: str | None, lineno: int) -> dict | None:
     text = line.strip()
     if not text:

@@ -18,7 +18,6 @@ legitimately negative.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -263,19 +262,22 @@ class MethodConfig:
             if not 0.0 <= self.eps < 1.0:
                 raise ConfigError(f"eps must be in [0, 1), got {self.eps}")
 
+    def fields(self) -> dict[str, str]:
+        """Every parameter rendered for output; '.' marks one the method does not use."""
+        return {
+            "method": self.method_label,
+            "vector": self.vector if self.method in ("salton", "soft") else ".",
+            "qualifiers": str(self.qualifiers).lower() if self.method == "salton" else ".",
+            "graph": self.graph if self.uses_graph else ".",
+            "w": f"{self.w:g}",
+            "lambda": f"{self.lam:g}" if self.uses_graph and self.lam is not None else ".",
+            "eps": f"{self.eps:g}" if self.uses_graph else ".",
+            "slim": str(self.slim).lower() if self.method == "mts" else ".",
+        }
+
     def tag(self) -> str:
         """Key=value rendering of every parameter, for output headers."""
-        fields = [
-            ("method", self.method_label),
-            ("vector", self.vector if self.method in ("salton", "soft") else "."),
-            ("qualifiers", str(self.qualifiers).lower() if self.method == "salton" else "."),
-            ("graph", self.graph if self.uses_graph else "."),
-            ("w", f"{self.w:g}"),
-            ("lambda", f"{self.lam:g}" if self.uses_graph and self.lam is not None else "."),
-            ("eps", f"{self.eps:g}" if self.uses_graph else "."),
-            ("slim", str(self.slim).lower() if self.method == "mts" else "."),
-        ]
-        return " ".join(f"{k}={v}" for k, v in fields)
+        return " ".join(f"{k}={v}" for k, v in self.fields().items())
 
 
 @dataclass
@@ -348,63 +350,34 @@ PairScore = tuple[str, str, RelatednessScore]
 PairError = tuple[str, str, str]
 
 
-def _score_chunk(
-    chunk: Sequence[tuple[str, str]], corpus: Corpus, scorer: Scorer, params: str
-) -> list[tuple[str, str, RelatednessScore | None, str | None]]:
-    out: list[tuple[str, str, RelatednessScore | None, str | None]] = []
+def pairwise_scores(
+    corpus: Corpus,
+    pairs: Iterable[tuple[str, str]],
+    scorer: Scorer,
+    errors: list[PairError] | None = None,
+) -> Iterator[PairScore]:
+    """Score pairs one at a time, in input order, as the result is consumed.
+
+    A pair naming an unknown document or failing to score goes to ``errors``
+    and is skipped.
+    """
+    params = scorer.config.tag()
     method = scorer.config.method_label
-    for id_a, id_b in chunk:
+    for id_a, id_b in pairs:
         doc_a = corpus.documents.get(id_a)
         doc_b = corpus.documents.get(id_b)
         if doc_a is None or doc_b is None:
-            missing = id_a if doc_a is None else id_b
-            out.append((id_a, id_b, None, f"unknown document {missing!r}"))
-            continue
-        try:
-            value = scorer.score(doc_a, doc_b)
-        except VocabrelError as exc:
-            out.append((id_a, id_b, None, str(exc)))
-            continue
-        out.append((id_a, id_b, RelatednessScore(value, method, params), None))
-    return out
-
-
-def pairwise_scores(
-    corpus: Corpus,
-    pairs: Sequence[tuple[str, str]],
-    scorer: Scorer,
-    errors: list[PairError] | None = None,
-    workers: int = 1,
-) -> Iterator[PairScore]:
-    """Score pairs in input order; failing pairs go to ``errors`` and are skipped.
-
-    The output is identical for any worker count: chunks are mapped in order
-    and each pair's score depends only on that pair.
-    """
-    params = scorer.config.tag()
-    if workers <= 1 or len(pairs) < 2:
-        chunks: Iterable[Sequence[tuple[str, str]]] = [pairs]
-        results = (_score_chunk(c, corpus, scorer, params) for c in chunks)
-        for batch in results:
-            yield from _drain(batch, errors)
-        return
-    chunk_size = max(1, (len(pairs) + workers * 4 - 1) // (workers * 4))
-    split = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(lambda c: _score_chunk(c, corpus, scorer, params), split):
-            yield from _drain(batch, errors)
-
-
-def _drain(
-    batch: Sequence[tuple[str, str, RelatednessScore | None, str | None]],
-    errors: list[PairError] | None,
-) -> Iterator[PairScore]:
-    for id_a, id_b, score, err in batch:
-        if score is None:
-            if errors is not None:
-                errors.append((id_a, id_b, err or "error"))
-            continue
-        yield (id_a, id_b, score)
+            error = f"unknown document {id_a if doc_a is None else id_b!r}"
+        else:
+            try:
+                value = scorer.score(doc_a, doc_b)
+            except VocabrelError as exc:
+                error = str(exc)
+            else:
+                yield (id_a, id_b, RelatednessScore(value, method, params))
+                continue
+        if errors is not None:
+            errors.append((id_a, id_b, error))
 
 
 def write_scores(dest, tag: str, results: Iterable[PairScore]) -> int:

@@ -15,6 +15,7 @@ entry is lost and the pruned result equals the unpruned one.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -23,7 +24,7 @@ from typing import IO, Callable, Iterable, Mapping
 
 from .errors import MissingDataError, ParseError
 from .infocontent import ICTable
-from .model import TermId, Vocabulary, _iter_lines, _open_out
+from .model import TermId, Vocabulary, _header_fields, _iter_lines, _open_out
 
 UNREACHABLE = math.inf
 
@@ -198,16 +199,29 @@ class SimMatrix:
         )
 
     def save(self, dest: str | Path | IO[str]) -> None:
+        """Write the TSV form; the header carries the entry count and body digest.
+
+        The integrity fields come before the required ``eps`` field, so a file
+        cut anywhere, even inside its header, fails ``load`` instead of
+        reading as fewer entries.
+        """
+        items = sorted(self._entries.items())
+        digest = hashlib.sha256()
+        chunks = []  # joined 4096 lines at a time: a list of every line would triple the memory
+        for start in range(0, len(items), 4096):
+            chunk = "".join(f"{a}\t{b}\t{s:.17g}\n" for (a, b), s in items[start : start + 4096])
+            digest.update(chunk.encode())
+            chunks.append(chunk)
         with _open_out(dest) as fh:
             fh.write(
-                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} "
-                f"eps={self.eps:.17g} n={self.n}\n"
+                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(items)} "
+                f"sha256={digest.hexdigest()} eps={self.eps:.17g} n={self.n}\n"
             )
-            for (a, b), s in sorted(self._entries.items()):
-                fh.write(f"{a}\t{b}\t{s:.17g}\n")
+            fh.writelines(chunks)
 
     @classmethod
     def load(cls, source: str | Path | IO[str] | Iterable[str]) -> "SimMatrix":
+        """Read the TSV form, checking ``entries`` and ``sha256`` when the header has them."""
         path = str(source) if isinstance(source, (str, Path)) else None
         lines = _iter_lines(source)
         try:
@@ -216,14 +230,24 @@ class SimMatrix:
             raise ParseError("empty similarity-matrix file", path) from None
         if not header.startswith("#simmatrix"):
             raise ParseError("missing '#simmatrix' header", path, 1)
-        fields = dict(part.split("=", 1) for part in header.split()[1:])
+        fields = _header_fields(header, path)
         try:
             kind = fields["graph"]
             lam = float(fields["lambda"])
             eps = float(fields["eps"])
             n = int(fields.get("n", 0))
+            declared = int(fields["entries"]) if "entries" in fields else None
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad header field: {exc}", path, 1) from exc
+        digest = fields.get("sha256")
+        if digest is not None:
+            if path is None:
+                lines = list(lines)
+                actual = hashlib.sha256("".join(lines).encode()).hexdigest()
+            else:
+                actual = _body_sha256(path)
+            if actual != digest:
+                raise ParseError("content does not match the header's sha256", path)
         entries: dict[tuple[TermId, TermId], float] = {}
         for lineno, line in enumerate(lines, start=2):
             text = line.rstrip("\n")
@@ -235,8 +259,23 @@ class SimMatrix:
             a, b, raw = parts
             if not a < b:
                 raise ParseError(f"pair {a!r},{b!r} not in sorted order", path, lineno)
-            entries[(a, b)] = float(raw)
+            try:
+                entries[(a, b)] = float(raw)
+            except ValueError:
+                raise ParseError(f"similarity {raw!r} is not a number", path, lineno) from None
+        if declared is not None and declared != len(entries):
+            raise ParseError(f"header declares {declared} entries, file holds {len(entries)}", path)
         return cls(kind=kind, lam=lam, eps=eps, n=n, entries=entries)
+
+
+def _body_sha256(path: str) -> str:
+    """SHA-256 of a file's bytes after its first line, read in blocks to bound memory."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        fh.readline()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def similarity_matrix(
@@ -299,8 +338,7 @@ def load_graph(source: str | Path | IO[str] | Iterable[str]) -> TermGraph:
         raise ParseError("empty graph file", path) from None
     if not header.startswith("#termgraph"):
         raise ParseError("missing '#termgraph' header", path, 1)
-    fields = dict(part.split("=", 1) for part in header.split()[1:])
-    kind = fields.get("kind", "g1")
+    kind = _header_fields(header, path).get("kind", "g1")
     adj: dict[TermId, list[tuple[TermId, float]]] = {}
     for lineno, line in enumerate(lines, start=2):
         text = line.rstrip("\n")
@@ -310,7 +348,11 @@ def load_graph(source: str | Path | IO[str] | Iterable[str]) -> TermGraph:
         if parts[0] == "n" and len(parts) == 2:
             adj.setdefault(parts[1], [])
         elif parts[0] == "e" and len(parts) == 4:
-            a, b, w = parts[1], parts[2], float(parts[3])
+            a, b = parts[1], parts[2]
+            try:
+                w = float(parts[3])
+            except ValueError:
+                raise ParseError(f"edge weight {parts[3]!r} is not a number", path, lineno) from None
             adj.setdefault(a, []).append((b, w))
             adj.setdefault(b, []).append((a, w))
         else:

@@ -248,8 +248,8 @@ def _toy_judgements(n_rel=4, n_not=4, topics=("T1", "T2")):
 def test_classification_deterministic_across_workers():
     judgements = _toy_judgements()
     kwargs = dict(iterations=5, sample_size=2, seed=9)
-    base = classification_test(judgements, _fake_score, workers=1, **kwargs)
-    assert classification_test(judgements, _fake_score, workers=4, **kwargs) == base
+    base = classification_test(judgements, _fake_score, **kwargs)
+    assert classification_test(judgements, _fake_score, **kwargs) == base
     assert base.total == 5 * 2 * (8 - 4)  # iterations * topics * unsampled docs
 
 
@@ -282,6 +282,26 @@ def test_classification_tie_goes_to_not_relevant():
     assert conf.fn + conf.tn == conf.total == 2
 
 
+def test_classification_takes_the_larger_max_similarity_not_the_sum():
+    # T1 holds 3 relevant docs and exactly 2 not-relevant ones, so every
+    # iteration seeds with both not-relevant docs and 2 of the 3 relevant
+    # ones, and classifies the remaining relevant doc.  Against its seeds it
+    # scores 0.4 with each relevant seed (max 0.4, sum 0.8) and 0.5 / 0.0
+    # with the not-relevant seeds (max 0.5, sum 0.5): the max rule predicts
+    # not relevant (a false negative), the sum rule would predict relevant.
+    # T2 mirrors it, so its remaining not-relevant doc is a false positive
+    # under the max rule and a true negative under the sum rule.
+    judgements = [J("T1", f"T1r{i}", 2) for i in range(3)] + [J("T1", f"T1n{i}", 0) for i in range(2)]
+    judgements += [J("T2", f"T2r{i}", 2) for i in range(2)] + [J("T2", f"T2n{i}", 0) for i in range(3)]
+    by_seed = {"T1n0": 0.5, "T1n1": 0.0, "T2r0": 0.5, "T2r1": 0.0}
+
+    def score(doc: str, seed: str) -> float:
+        return by_seed.get(seed, 0.4)
+
+    conf = classification_test(judgements, score, iterations=3, sample_size=2, seed=5)
+    assert conf == Confusion(tp=0, fp=3, tn=0, fn=3)
+
+
 # --- end-to-end benchmark ----------------------------------------------------
 
 
@@ -310,13 +330,13 @@ def test_run_benchmark_salton(synth_world, filtered_synth):
 
 def test_run_benchmark_reproducible(synth_world, filtered_synth):
     _, corpus, _ = synth_world
-    def run(workers):
+    def run():
         scorer = Scorer(config=MethodConfig("salton", vector="binary", w=3))
         return run_benchmark(
             corpus, filtered_synth, scorer,
-            iterations=2, sample_size=5, seed=7, workers=workers,
+            iterations=2, sample_size=5, seed=7,
         )
-    a, b = run(1), run(6)
+    a, b = run(), run()
     assert (a.delta, a.phi, a.mean_same, a.mean_separate) == (
         b.delta, b.phi, b.mean_same, b.mean_separate
     )
@@ -371,6 +391,14 @@ def test_artifact_set_caches_and_guards(synth_world):
         ArtifactSet(vocab=vocab).ic_table()
     with pytest.raises(VocabrelError):
         parameter_sweep([MethodConfig("salton")], ArtifactSet(vocab=vocab), [])
+
+
+def test_artifact_set_scorer_uses_the_config_eps(synth_world):
+    vocab, corpus, _ = synth_world
+    artifacts = ArtifactSet(vocab, corpus)
+    config = MethodConfig("soft", graph="g1", lam=1.0, eps=0.3)
+    assert artifacts.scorer(config).matrix.eps == 0.3
+    assert artifacts.matrix("g1", 1.0).eps == artifacts.eps == 1e-4
 
 
 # --- output formats -----------------------------------------------------------

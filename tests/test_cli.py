@@ -137,6 +137,27 @@ def test_bench_is_byte_identical_across_workers(synth_files, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_truncated_matrix_cache_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    args = (
+        "bench", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        "--judgements", synth_files["judgements"],
+        "--method", "soft", "--vector", "ic", "--graph", "g1", "--w", "3",
+        "--lambda", "1", "--iterations", "5", "--cache", cache,
+    )
+    fresh, after_cut, after_rebuild = (tmp_path / f"bench-{i}.csv" for i in range(3))
+    assert run(*args, "--out", fresh) == 0
+    [matrix_file] = cache.glob("simmatrix-*.tsv")
+    data = matrix_file.read_bytes()
+    matrix_file.write_bytes(data[: len(data) // 2])
+    assert run(*args, "--out", after_cut) == 0
+    assert "rebuilding" in caplog.text
+    assert matrix_file.read_bytes() == data
+    assert run(*args, "--out", after_rebuild) == 0
+    assert fresh.read_bytes() == after_cut.read_bytes() == after_rebuild.read_bytes()
+    assert not list(cache.glob("*.tmp"))  # the atomic writes left no temporary files
+
+
 def test_bench_same_seed_same_bytes(synth_files, tmp_path):
     hashes = []
     for name in ("a", "b"):

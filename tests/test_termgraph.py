@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vocabrel.errors import ParseError
+from vocabrel.infocontent import load_ic_table, save_ic_table
 from vocabrel.termgraph import (
     UNREACHABLE,
     SimMatrix,
@@ -120,6 +121,46 @@ def test_simmatrix_round_trip(chain_vocab):
 def test_simmatrix_load_rejects_missing_header():
     with pytest.raises(ParseError):
         SimMatrix.load(["a\tb\t0.5"])
+
+
+def test_simmatrix_cut_anywhere_fails_to_load(diamond_vocab):
+    buf = io.StringIO()
+    similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01).save(buf)
+    text = buf.getvalue()
+    for cut in range(len(text)):
+        with pytest.raises(ParseError):
+            SimMatrix.load(io.StringIO(text[:cut]))
+
+
+def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
+    _, table = ic_fixture
+    buf = io.StringIO()
+    save_ic_table(table, buf)
+    text = buf.getvalue()
+    for cut in range(len(text)):
+        try:
+            again = load_ic_table(io.StringIO(text[:cut]))
+        except ParseError:
+            continue
+        assert (again.ic, again.aggregate) == (table.ic, table.aggregate)
+
+
+@pytest.mark.parametrize(
+    "loader, text, line",
+    [
+        (SimMatrix.load, "#simmatrix graph=g1 lambda=1 eps=0.1 n=2\na\tb\tx\n", 2),
+        (SimMatrix.load, "#simmatrix graph=g1 lambda\n", 1),
+        (load_ic_table, "#ictable n=1 denominator=3\nt1\t3.5\t0.0\n", 2),
+        (load_graph, "#termgraph kind=dic n=2\nn\ta\nn\tb\ne\ta\tb\theavy\n", 4),
+    ],
+    ids=["simmatrix-similarity", "simmatrix-header-field", "ic-aggregate", "graph-weight"],
+)
+def test_loaders_report_path_and_line(tmp_path, loader, text, line):
+    path = tmp_path / "artifact.tsv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
 
 
 def test_graph_round_trip(ic_fixture):
