@@ -237,6 +237,11 @@ def stable_sample(pool: Sequence[str], k: int, rng: random.Random) -> list[str]:
 ScoreFn = Callable[[str, str], float]
 
 
+def pair_key(id_a: str, id_b: str) -> tuple[str, str]:
+    """The order-free key of a document pair: its two ids, smaller first."""
+    return (id_a, id_b) if id_a <= id_b else (id_b, id_a)
+
+
 def classification_test(
     judgements: Sequence[RelevanceJudgement],
     score_fn: ScoreFn,
@@ -304,7 +309,7 @@ class ScoreSource:
         self._memo: dict[tuple[str, str], float] = {}
 
     def __call__(self, id_a: str, id_b: str) -> float:
-        key = (id_a, id_b) if id_a <= id_b else (id_b, id_a)
+        key = pair_key(id_a, id_b)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -338,9 +343,10 @@ class BenchResult:
 
 def _score_population(
     triples: Sequence[tuple[str, str, str]],
-    source: ScoreSource,
+    source: ScoreFn,
     errors: list[str],
 ) -> list[float]:
+    """Score each (topic, doc_a, doc_b); a pair whose score raises goes to ``errors``."""
     scores: list[float] = []
     for topic, a, b in triples:
         try:
@@ -348,6 +354,36 @@ def _score_population(
         except VocabrelError as exc:
             errors.append(f"{topic}/{a}/{b}: {exc}")
     return scores
+
+
+def log_skipped(errors: Sequence[str]) -> None:
+    """Log the first 10 skipped pairs, then how many more there were."""
+    for msg in errors[:10]:
+        log.warning("pair skipped: %s", msg)
+    if len(errors) > 10:
+        log.warning("... and %d more skipped pairs", len(errors) - 10)
+
+
+def separation_stats(same: Sequence[float], separate: Sequence[float]) -> dict[str, float]:
+    """Cliff's delta, means and skewnesses of two non-empty pair populations.
+
+    The keys are ``BenchResult`` field names; an undefined skewness (fewer
+    than 3 values, or a constant sample) is NaN.
+    """
+
+    def skew_or_nan(scores: Sequence[float]) -> float:
+        try:
+            return skewness(scores)
+        except ValueError:
+            return math.nan
+
+    return {
+        "delta": cliffs_delta(same, separate),
+        "mean_same": float(np.mean(same)),
+        "mean_separate": float(np.mean(separate)),
+        "skew_same": skew_or_nan(same),
+        "skew_separate": skew_or_nan(separate),
+    }
 
 
 def run_benchmark(
@@ -371,10 +407,7 @@ def run_benchmark(
     errors: list[str] = []
     same_scores = _score_population(pairs.same_topic, source, errors)
     sep_scores = _score_population(pairs.separate_topic, source, errors)
-    for msg in errors[:10]:
-        log.warning("pair skipped: %s", msg)
-    if len(errors) > 10:
-        log.warning("... and %d more skipped pairs", len(errors) - 10)
+    log_skipped(errors)
     if dump is not None:
         dump[0].extend(same_scores)
         dump[1].extend(sep_scores)
@@ -383,25 +416,13 @@ def run_benchmark(
             "benchmark needs both pair populations; got "
             f"{len(same_scores)} same-topic and {len(sep_scores)} separate-topic scores"
         )
-    delta = cliffs_delta(same_scores, sep_scores)
-
-    def skew_or_nan(scores: list[float]) -> float:
-        try:
-            return skewness(scores)
-        except ValueError:
-            return math.nan
-
     confusion = classification_test(
         judgements, source, iterations=iterations, sample_size=sample_size, seed=seed
     )
     return BenchResult(
         config=scorer.config,
-        delta=delta,
         phi=mcc(confusion),
-        mean_same=float(np.mean(same_scores)),
-        mean_separate=float(np.mean(sep_scores)),
-        skew_same=skew_or_nan(same_scores),
-        skew_separate=skew_or_nan(sep_scores),
+        **separation_stats(same_scores, sep_scores),
         n_same=len(same_scores),
         n_separate=len(sep_scores),
         n_errors=len(errors),
@@ -557,8 +578,11 @@ __all__ = [
     "derive_substream_seed",
     "stable_sample",
     "classification_test",
+    "pair_key",
     "ScoreSource",
     "BenchResult",
+    "log_skipped",
+    "separation_stats",
     "run_benchmark",
     "ArtifactSet",
     "parameter_sweep",

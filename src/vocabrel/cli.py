@@ -11,8 +11,9 @@ Commands::
     sweep         benchmark a grid of configurations
     stats         summarize or compare saved score files
 
-Every command that writes a result file also writes ``<out>.manifest.json``
-with the parameters, SHA-256 digests of the inputs and outputs, and timing.
+A command whose ``--out`` names a regular file also writes
+``<out>.manifest.json`` with the parameters, SHA-256 digests of the inputs
+and outputs, and timing.
 Result files themselves contain no timestamps, so a rerun with identical
 inputs is byte-identical.  ``--cache DIR`` keeps IC tables and similarity
 matrices keyed by input digests and parameters for reuse across commands.
@@ -34,18 +35,20 @@ from typing import Sequence
 from . import __version__
 from .benchmark import (
     ArtifactSet,
+    _score_population,
     build_pairs,
     ccc,
-    cliffs_delta,
     filter_topics,
     ingest_judgements,
+    log_skipped,
+    pair_key,
     parameter_sweep,
     run_benchmark,
-    skewness,
+    separation_stats,
     write_distributions,
     write_results_csv,
 )
-from .errors import ConfigError, CycleError, ParseError, VocabrelError
+from .errors import ConfigError, CycleError, MissingDataError, ParseError, VocabrelError
 from .infocontent import FreqTable, load_frequencies, load_ic_table, save_ic_table
 from .mesh import convert_mesh
 from .model import (
@@ -69,6 +72,13 @@ log = logging.getLogger("vocabrel")
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# the arguments that, when given a string, name a command's input or output files
+_INPUT_ARGS = (
+    "vocab", "corpus", "freq_table", "judgements", "pairs", "scores", "scores_b",
+    "descriptors", "qualifiers",
+)
+_OUTPUT_ARGS = ("out", "dump_dist")
+
 
 def _sha256(path: str | Path) -> str:
     h = hashlib.sha256()
@@ -82,26 +92,24 @@ def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
-def _write_manifest(
-    command: str,
-    args: argparse.Namespace,
-    inputs: Sequence[str | None],
-    outputs: Sequence[str | None],
-    started: float,
-) -> None:
+def _write_manifest(args: argparse.Namespace, started: float) -> None:
+    """Write ``<out>.manifest.json`` when ``--out`` names a regular file."""
+    if not args.out or not Path(args.out).is_file():
+        return
     parameters = {
         k: v for k, v in vars(args).items() if k not in ("func", "command") and not callable(v)
     }
-    written = [p for p in outputs if p]
+    inputs = {getattr(args, name, None) for name in _INPUT_ARGS}
+    outputs = [getattr(args, name, None) for name in _OUTPUT_ARGS]
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "parameters": parameters,
-        "inputs": {p: _sha256(p) for p in sorted({i for i in inputs if i})},
-        "outputs": {p: _sha256(p) for p in written},
+        "inputs": {p: _sha256(p) for p in sorted(i for i in inputs if isinstance(i, str))},
+        "outputs": {p: _sha256(p) for p in outputs if p},
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
-    path = Path(f"{written[0]}.manifest.json")
+    path = Path(f"{args.out}.manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -231,12 +239,9 @@ def _workspace(args: argparse.Namespace) -> Workspace:
 
 
 def _config_from_args(args: argparse.Namespace) -> MethodConfig:
-    method = args.method
-    raw = bool(getattr(args, "raw_distance", False))
-    if method == "mts-rawdist":
-        method, raw = "mts", True
+    raw = args.method == "mts-rawdist"
     config = MethodConfig(
-        method=method,
+        method="mts" if raw else args.method,
         vector=args.vector,
         qualifiers=args.qualifiers,
         graph=args.graph,
@@ -261,19 +266,14 @@ def _filtered_judgements(args: argparse.Namespace):
 
 
 def cmd_convert_mesh(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     stats = convert_mesh(args.descriptors, args.out, qualifier_source=args.qualifiers)
     log.info(
         "converted %d descriptors (%d edges) and %d qualifiers -> %s",
         stats["terms"], stats["edges"], stats["qualifiers"], args.out,
     )
-    _write_manifest(
-        "convert-mesh", args, [args.descriptors, args.qualifiers], [args.out], started
-    )
 
 
 def cmd_ic(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     ws = _workspace(args)
     table = ws.ic_table()
     save_ic_table(table, args.out)
@@ -283,20 +283,16 @@ def cmd_ic(args: argparse.Namespace) -> None:
             len(table.zero_aggregate),
         )
     log.info("wrote IC for %d terms (denominator %d) -> %s", len(table.ic), table.denominator, args.out)
-    _write_manifest("ic", args, [args.vocab, getattr(args, "corpus", None), args.freq_table], [args.out], started)
 
 
 def cmd_graph(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     ws = _workspace(args)
     graph = ws.graph(args.graph)
     save_graph(graph, args.out)
     log.info("wrote %s graph: %d nodes, %d edges -> %s", graph.kind, len(graph.adj), graph.edge_count(), args.out)
-    _write_manifest("graph", args, [args.vocab, getattr(args, "corpus", None), args.freq_table], [args.out], started)
 
 
 def cmd_simmatrix(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     if args.lam is None or args.lam <= 0:
         raise ConfigError(f"simmatrix needs --lambda > 0, got {args.lam}")
     ws = _workspace(args)
@@ -306,11 +302,9 @@ def cmd_simmatrix(args: argparse.Namespace) -> None:
         "wrote similarity matrix (%s, lambda=%g, eps=%g): %d stored entries -> %s",
         matrix.kind, matrix.lam, matrix.eps, len(matrix), args.out,
     )
-    _write_manifest("simmatrix", args, [args.vocab, getattr(args, "corpus", None), args.freq_table], [args.out], started)
 
 
 def cmd_relate(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     config = _config_from_args(args)
     ws = _workspace(args)
     assert ws.corpus is not None
@@ -322,20 +316,11 @@ def cmd_relate(args: argparse.Namespace) -> None:
         pairs = itertools.combinations(ids, 2)
     errors: list = []
     n = write_scores(args.out, config.tag(), pairwise_scores(ws.corpus, pairs, scorer, errors))
-    for id_a, id_b, msg in errors[:10]:
-        log.warning("pair (%s, %s) skipped: %s", id_a, id_b, msg)
-    if len(errors) > 10:
-        log.warning("... and %d more skipped pairs", len(errors) - 10)
+    log_skipped([f"{id_a}/{id_b}: {msg}" for id_a, id_b, msg in errors])
     log.info("scored %d of %d pairs (%d errors) -> %s", n, n + len(errors), len(errors), args.out)
-    _write_manifest(
-        "relate", args,
-        [args.vocab, args.corpus, args.freq_table, args.pairs],
-        [args.out], started,
-    )
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     config = _config_from_args(args)
     ws = _workspace(args)
     assert ws.corpus is not None
@@ -358,11 +343,6 @@ def cmd_bench(args: argparse.Namespace) -> None:
         "delta=%.4f phi=%.4f over %d same / %d separate pairs (%d errors, %d classifications) -> %s",
         result.delta, result.phi, result.n_same, result.n_separate,
         result.n_errors, result.n_classifications, args.out,
-    )
-    _write_manifest(
-        "bench", args,
-        [args.vocab, args.corpus, args.judgements, args.freq_table],
-        [args.out, args.dump_dist], started,
     )
 
 
@@ -454,7 +434,6 @@ def sweep_configs(args: argparse.Namespace) -> list[MethodConfig]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
     configs = sweep_configs(args)
     ws = _workspace(args)
     filtered = _filtered_judgements(args)
@@ -466,17 +445,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     write_results_csv(results, args.out)
     failed = sum(1 for r in results if r.note)
     log.info("wrote %d rows (%d failed cells) -> %s", len(results), failed, args.out)
-    _write_manifest(
-        "sweep", args,
-        [args.vocab, args.corpus, args.judgements, args.freq_table],
-        [args.out], started,
-    )
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
-    started = time.perf_counter()
+    if args.dump_dist and not args.judgements:
+        raise ConfigError("--dump-dist needs --judgements to split the populations")
     header_a, rows_a = read_scores(args.scores)
     values_a = [v for _, _, v in rows_a]
+    map_a = {pair_key(a, b): v for a, b, v in rows_a}
     out_lines: list[tuple[str, str]] = [
         ("scores_a", args.scores),
         ("n_a", str(len(rows_a))),
@@ -485,9 +461,7 @@ def cmd_stats(args: argparse.Namespace) -> None:
         out_lines.append(("mean_a", f"{sum(values_a) / len(values_a):.17g}"))
     if args.scores_b:
         header_b, rows_b = read_scores(args.scores_b)
-        key = lambda a, b: (a, b) if a <= b else (b, a)
-        map_a = {key(a, b): v for a, b, v in rows_a}
-        map_b = {key(a, b): v for a, b, v in rows_b}
+        map_b = {pair_key(a, b): v for a, b, v in rows_b}
         common = sorted(map_a.keys() & map_b.keys())
         out_lines += [
             ("scores_b", args.scores_b),
@@ -503,55 +477,33 @@ def cmd_stats(args: argparse.Namespace) -> None:
                 out_lines.append(("ccc", f"{ccc(aligned_a, aligned_b):.17g}"))
             except ValueError as exc:
                 out_lines.append(("ccc_error", str(exc)))
-    dump_pops: tuple[list, list] | None = None
     if args.judgements:
-        filtered = _filtered_judgements(args)
-        pairs = build_pairs(filtered)
-        key = lambda a, b: (a, b) if a <= b else (b, a)
-        lookup = {key(a, b): v for a, b, v in rows_a}
-        missing = 0
-        same: list[float] = []
-        separate: list[float] = []
-        for population, triples in (
-            (same, pairs.same_topic), (separate, pairs.separate_topic)
-        ):
-            for _, a, b in triples:
-                v = lookup.get(key(a, b))
-                if v is None:
-                    missing += 1
-                else:
-                    population.append(v)
+
+        def stored(id_a: str, id_b: str) -> float:
+            value = map_a.get(pair_key(id_a, id_b))
+            if value is None:
+                raise MissingDataError(f"pair ({id_a}, {id_b}) is not in {args.scores}")
+            return value
+
+        pairs = build_pairs(_filtered_judgements(args))
+        missing: list[str] = []
+        same = _score_population(pairs.same_topic, stored, missing)
+        separate = _score_population(pairs.separate_topic, stored, missing)
         out_lines += [
             ("n_same", str(len(same))),
             ("n_separate", str(len(separate))),
-            ("n_missing_pairs", str(missing)),
+            ("n_missing_pairs", str(len(missing))),
         ]
         if same and separate:
-            out_lines.append(("delta", f"{cliffs_delta(same, separate):.17g}"))
-            out_lines.append(("mean_same", f"{sum(same) / len(same):.17g}"))
-            out_lines.append(("mean_separate", f"{sum(separate) / len(separate):.17g}"))
-            for label, pop in (("skew_same", same), ("skew_separate", separate)):
-                try:
-                    out_lines.append((label, f"{skewness(pop):.17g}"))
-                except ValueError:
-                    out_lines.append((label, "nan"))
-        dump_pops = (same, separate)
+            out_lines += [(k, f"{v:.17g}") for k, v in separation_stats(same, separate).items()]
+        if args.dump_dist:
+            write_distributions(same, separate, args.dump_dist, header_tag=header_a)
     text = f"#stats source={args.scores} {header_a}\n".rstrip() + "\n"
     text += "".join(f"{k}\t{v}\n" for k, v in out_lines)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if args.dump_dist:
-        if dump_pops is None:
-            raise ConfigError("--dump-dist needs --judgements to split the populations")
-        write_distributions(dump_pops[0], dump_pops[1], args.dump_dist, header_tag=header_a)
-    if args.out:
-        _write_manifest(
-            "stats", args,
-            [args.scores, args.scores_b, args.judgements],
-            [args.out, args.dump_dist], started,
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_method.add_argument(
         "--slim", action=argparse.BooleanOptionalAction, default=False,
         help="mts: drop minor terms before matching",
-    )
-    p_method.add_argument(
-        "--raw-distance", action=argparse.BooleanOptionalAction, default=False,
-        help="mts: aggregate negated term distances instead of similarities",
     )
 
     p_eval = argparse.ArgumentParser(add_help=False)
@@ -727,7 +675,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        started = time.perf_counter()
         args.func(args)
+        _write_manifest(args, started)
     except (VocabrelError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 1

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -119,6 +121,103 @@ def test_stats_judgement_split(synth_files, tmp_path, capsys):
     assert int(report["n_same"]) > 0
     assert int(report["n_missing_pairs"]) == 0
     assert -1.0 <= float(report["delta"]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        ("salton", "--vector", "ic", "--w", "2"),
+        ("soft", "--vector", "ic", "--graph", "dic", "--w", "3", "--lambda", "1"),
+        ("mts", "--graph", "g1", "--w", "16", "--lambda", "1"),
+    ],
+    ids=["salton-ic-w2", "soft-ic-dic-w3", "mts-g1-w16"],
+)
+def test_stats_reports_the_bench_statistics(synth_files, tmp_path, capsys, method):
+    data = ("--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"])
+    scores, bench = tmp_path / "scores.tsv", tmp_path / "bench.csv"
+    assert run("relate", *data, "--method", *method, "--out", scores) == 0
+    assert run(
+        "bench", *data, "--judgements", synth_files["judgements"], "--method", *method,
+        "--iterations", "1", "--out", bench,
+    ) == 0
+    capsys.readouterr()
+    assert run("stats", "--scores", scores, "--judgements", synth_files["judgements"]) == 0
+    report = dict(
+        line.split("\t") for line in capsys.readouterr().out.splitlines()
+        if "\t" in line
+    )
+    with open(bench, newline="") as fh:
+        [row] = csv.DictReader(fh)
+    assert report["n_missing_pairs"] == "0"
+    for stats_key, csv_key in (
+        ("delta", "delta"), ("mean_same", "mean_same"), ("mean_separate", "mean_sep"),
+        ("skew_same", "skew_same"), ("skew_separate", "skew_sep"),
+    ):
+        assert report[stats_key] == row[csv_key], stats_key
+
+
+def test_stats_dump_dist_without_judgements_writes_nothing(synth_files, tmp_path):
+    scores, out, dump = tmp_path / "scores.tsv", tmp_path / "report.tsv", tmp_path / "dump.tsv"
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("T0D000\tT0D001\n")
+    assert run(
+        "relate", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        "--method", "salton", "--pairs", pairs, "--out", scores,
+    ) == 0
+    assert run("stats", "--scores", scores, "--dump-dist", dump, "--out", out) == 1
+    assert not out.exists() and not dump.exists()
+
+
+@pytest.mark.parametrize("command", ["relate", "bench", "sweep", "stats", "simmatrix"])
+def test_manifest_lists_the_input_and_output_files(synth_files, tmp_path, command):
+    vocab, corpus, judgements = synth_files["vocab"], synth_files["corpus"], synth_files["judgements"]
+    data = ("--vocab", vocab, "--corpus", corpus)
+    out, dump, scores = (str(tmp_path / name) for name in ("out", "dump.tsv", "scores.tsv"))
+    pairs = str(tmp_path / "pairs.tsv")
+    Path(pairs).write_text("T0D000\tT0D001\n")
+    assert run("relate", *data, "--method", "salton", "--out", scores) == 0
+    argv, inputs, outputs = {
+        # --qualifiers is a flag here, not a file
+        "relate": (
+            ("relate", *data, "--method", "salton", "--qualifiers", "--pairs", pairs),
+            {vocab, corpus, pairs}, {out},
+        ),
+        "bench": (
+            ("bench", *data, "--judgements", judgements, "--method", "salton",
+             "--iterations", "1", "--dump-dist", dump),
+            {vocab, corpus, judgements}, {out, dump},
+        ),
+        "sweep": (
+            ("sweep", *data, "--judgements", judgements, "--iterations", "1"),
+            {vocab, corpus, judgements}, {out},
+        ),
+        "stats": (
+            ("stats", "--scores", scores, "--scores-b", scores, "--judgements", judgements,
+             "--dump-dist", dump),
+            {scores, judgements}, {out, dump},
+        ),
+        "simmatrix": (
+            ("simmatrix", *data, "--graph", "g1", "--lambda", "1"), {vocab, corpus}, {out},
+        ),
+    }[command]
+    assert run(*argv, "--out", out) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == {p: sha(p) for p in inputs}
+    assert manifest["outputs"] == {p: sha(p) for p in outputs}
+
+
+def test_no_manifest_beside_an_output_that_is_not_a_regular_file(synth_files):
+    stray = Path(f"{os.devnull}.manifest.json")
+    stray.unlink(missing_ok=True)  # earlier versions wrote one beside the null device
+    try:
+        assert run(
+            "ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+            "--out", os.devnull,
+        ) == 0
+        assert not stray.exists()
+    finally:
+        stray.unlink(missing_ok=True)
 
 
 def test_bench_is_byte_identical_across_workers(synth_files, tmp_path):
