@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MissingDataError, ParseError, VocabrelError
 from .infocontent import FreqTable, information_content, descendant_closure, term_frequencies
-from .model import Corpus, Vocabulary, _iter_lines, _open_out
+from .model import Corpus, Vocabulary, _iter_lines, _open_out, _source_path
 from .relatedness import MethodConfig, Scorer
 from .termgraph import SimMatrix, build_ic_weighted_graph, build_unweighted_graph, similarity_matrix
 
@@ -58,7 +58,7 @@ class RelevanceJudgement(NamedTuple):
 
 def ingest_judgements(source) -> list[RelevanceJudgement]:
     """Parse ``topic<TAB>doc<TAB>level`` lines; duplicates keep the highest level."""
-    path = source if isinstance(source, str) else None
+    path = _source_path(source)
     best: dict[tuple[str, str], Level] = {}
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()

@@ -60,7 +60,9 @@ from .model import (
     validate,
 )
 from .relatedness import (
-    METHODS,
+    GRAPHS,
+    METHOD_LABELS,
+    VECTORS,
     MethodConfig,
     pairwise_scores,
     read_scores,
@@ -239,9 +241,8 @@ def _workspace(args: argparse.Namespace) -> Workspace:
 
 
 def _config_from_args(args: argparse.Namespace) -> MethodConfig:
-    raw = args.method == "mts-rawdist"
-    config = MethodConfig(
-        method="mts" if raw else args.method,
+    config = MethodConfig.from_label(
+        args.method,
         vector=args.vector,
         qualifiers=args.qualifiers,
         graph=args.graph,
@@ -249,7 +250,6 @@ def _config_from_args(args: argparse.Namespace) -> MethodConfig:
         lam=args.lam,
         eps=args.eps,
         slim=args.slim,
-        raw_distance=raw,
     )
     config.validate()
     return config
@@ -381,56 +381,28 @@ def reference_configs(eps: float) -> list[MethodConfig]:
 
 
 def sweep_configs(args: argparse.Namespace) -> list[MethodConfig]:
-    """Cross product of the applicable dimension lists, per method."""
+    """Cross product of the list flags, each configuration reduced to what its method reads."""
     if args.preset == "reference9":
         return reference_configs(args.eps)
-    methods = _parse_listflag(args.methods, str, "--methods")
-    vectors = _parse_listflag(args.vectors, str, "--vectors")
-    graphs = _parse_listflag(args.graphs, str, "--graphs")
-    w_list = _parse_listflag(args.w_list, int, "--w-list")
-    lam_list = _parse_listflag(args.lambda_list, float, "--lambda-list")
-    slim_list = _parse_listflag(args.slim_list, _bool_word, "--slim-list")
-    qual_list = _parse_listflag(args.qualifiers_list, _bool_word, "--qualifiers-list")
-    configs: list[MethodConfig] = []
-    for name in methods:
-        raw = name == "mts-rawdist"
-        base = "mts" if raw else name
-        if base not in METHODS:
-            raise ConfigError(f"unknown method {name!r} in --methods")
-        for w in w_list:
-            if base == "salton":
-                for vec in vectors:
-                    for quals in qual_list:
-                        configs.append(
-                            MethodConfig("salton", vector=vec, qualifiers=quals, w=w)
-                        )
-            elif base == "soft":
-                for vec in vectors:
-                    for kind in graphs:
-                        for lam in lam_list:
-                            configs.append(
-                                MethodConfig(
-                                    "soft", vector=vec, graph=kind, w=w, lam=lam, eps=args.eps
-                                )
-                            )
-            else:
-                for kind in graphs:
-                    for lam in lam_list:
-                        for slim in slim_list:
-                            configs.append(
-                                MethodConfig(
-                                    "mts", graph=kind, w=w, lam=lam, eps=args.eps,
-                                    slim=slim, raw_distance=raw,
-                                )
-                            )
-    unique: list[MethodConfig] = []
-    seen: set[MethodConfig] = set()
-    for config in configs:
+    grid = itertools.product(
+        _parse_listflag(args.methods, str, "--methods"),
+        _parse_listflag(args.w_list, int, "--w-list"),
+        _parse_listflag(args.vectors, str, "--vectors"),
+        _parse_listflag(args.graphs, str, "--graphs"),
+        _parse_listflag(args.lambda_list, float, "--lambda-list"),
+        _parse_listflag(args.slim_list, _bool_word, "--slim-list"),
+        _parse_listflag(args.qualifiers_list, _bool_word, "--qualifiers-list"),
+    )
+    # first-seen order: method, then w, then the method's own parameters in flag order
+    unique: dict[MethodConfig, None] = {}
+    for label, w, vector, graph, lam, slim, qualifiers in grid:
+        config = MethodConfig.from_label(
+            label, vector=vector, qualifiers=qualifiers, graph=graph, w=w, lam=lam,
+            eps=args.eps, slim=slim,
+        ).applicable()
         config.validate()
-        if config not in seen:
-            seen.add(config)
-            unique.append(config)
-    return unique
+        unique.setdefault(config)
+    return list(unique)
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -543,28 +515,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility and ignored: scoring runs in one thread",
     )
 
+    p_eps = argparse.ArgumentParser(add_help=False)
+    p_eps.add_argument(
+        "--eps", type=float, default=1e-4,
+        help="similarity floor for matrix storage (default 1e-4)",
+    )
+
     p_method = argparse.ArgumentParser(add_help=False)
     p_method.add_argument(
-        "--method", required=True, choices=["salton", "soft", "mts", "mts-rawdist"],
+        "--method", required=True, choices=METHOD_LABELS,
         help="relatedness method",
     )
     p_method.add_argument(
-        "--vector", choices=["binary", "ic"], default="binary",
+        "--vector", choices=VECTORS, default="binary",
         help="vector weighting for salton/soft (default binary)",
     )
     p_method.add_argument(
         "--qualifiers", action=argparse.BooleanOptionalAction, default=False,
         help="augment vectors with (term, qualifier) dimensions (salton only)",
     )
-    p_method.add_argument("--graph", choices=["g1", "dic"], help="term graph for soft/mts")
+    p_method.add_argument("--graph", choices=GRAPHS, help="term graph for soft/mts")
     p_method.add_argument("--w", type=int, default=1, help="major term weight (default 1)")
     p_method.add_argument(
         "--lambda", dest="lam", type=float, default=None,
         help="distance decay for soft/mts similarities",
-    )
-    p_method.add_argument(
-        "--eps", type=float, default=1e-4,
-        help="similarity floor for matrix storage (default 1e-4)",
     )
     p_method.add_argument(
         "--slim", action=argparse.BooleanOptionalAction, default=False,
@@ -605,50 +579,42 @@ def build_parser() -> argparse.ArgumentParser:
         "graph", parents=[p_vocab, p_corpus_opt, p_freq, p_out],
         help="build a term graph",
     )
-    p.add_argument("--graph", required=True, choices=["g1", "dic"], help="edge weighting")
+    p.add_argument("--graph", required=True, choices=GRAPHS, help="edge weighting")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser(
-        "simmatrix", parents=[p_vocab, p_corpus_opt, p_freq, p_out],
+        "simmatrix", parents=[p_vocab, p_corpus_opt, p_freq, p_eps, p_out],
         help="materialize a sparse term similarity matrix",
     )
-    p.add_argument("--graph", required=True, choices=["g1", "dic"], help="edge weighting")
+    p.add_argument("--graph", required=True, choices=GRAPHS, help="edge weighting")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="distance decay")
-    p.add_argument(
-        "--eps", type=float, default=1e-4,
-        help="similarity floor for storage (default 1e-4)",
-    )
     p.set_defaults(func=cmd_simmatrix)
 
     p = sub.add_parser(
-        "relate", parents=[p_vocab, p_corpus, p_freq, p_method, p_workers, p_out],
+        "relate", parents=[p_vocab, p_corpus, p_freq, p_method, p_eps, p_workers, p_out],
         help="score document pairs",
     )
     p.add_argument("--pairs", help="doc_a<TAB>doc_b pair list (default: all corpus pairs)")
     p.set_defaults(func=cmd_relate)
 
     p = sub.add_parser(
-        "bench", parents=[p_vocab, p_corpus, p_freq, p_method, p_eval, p_workers, p_out],
+        "bench", parents=[p_vocab, p_corpus, p_freq, p_method, p_eps, p_eval, p_workers, p_out],
         help="run the benchmark for one configuration",
     )
     p.add_argument("--dump-dist", help="also dump the two score populations to this file")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
-        "sweep", parents=[p_vocab, p_corpus, p_freq, p_eval, p_workers, p_out],
+        "sweep", parents=[p_vocab, p_corpus, p_freq, p_eps, p_eval, p_workers, p_out],
         help="benchmark a grid of configurations",
     )
-    p.add_argument("--methods", default="salton", help="comma list: salton,soft,mts,mts-rawdist")
-    p.add_argument("--vectors", default="binary", help="comma list: binary,ic")
-    p.add_argument("--graphs", default="g1", help="comma list: g1,dic")
+    p.add_argument("--methods", default="salton", help=f"comma list: {','.join(METHOD_LABELS)}")
+    p.add_argument("--vectors", default="binary", help=f"comma list: {','.join(VECTORS)}")
+    p.add_argument("--graphs", default="g1", help=f"comma list: {','.join(GRAPHS)}")
     p.add_argument("--w-list", default="1", help="comma list of major term weights")
     p.add_argument("--lambda-list", default="1", help="comma list of decay values")
     p.add_argument("--slim-list", default="false", help="comma list of true/false")
     p.add_argument("--qualifiers-list", default="false", help="comma list of true/false")
-    p.add_argument(
-        "--eps", type=float, default=1e-4,
-        help="similarity floor for matrix storage (default 1e-4)",
-    )
     p.add_argument(
         "--preset", choices=["reference9"],
         help="named configuration set (overrides the list flags)",

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .errors import CycleError, MissingDataError, ParseError, VocabrelError
-from .model import Corpus, TermId, Vocabulary, _header_fields, _iter_lines, _open_out
+from .model import Corpus, TermId, Vocabulary, _header_fields, _iter_lines, _open_out, _source_path
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def load_frequencies(
     source: str | Path | IO[str] | Iterable[str], vocab: Vocabulary, strict: bool = True
 ) -> FreqTable:
     """Read an external ``term_id<TAB>count`` table (e.g. from a larger corpus)."""
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     counts = {t: 0 for t in vocab.terms}
     for lineno, line in enumerate(_iter_lines(source), start=1):
         text = line.rstrip("\n")
@@ -141,7 +141,7 @@ def save_ic_table(table: ICTable, dest: str | Path | IO[str]) -> None:
 
 
 def load_ic_table(source: str | Path | IO[str] | Iterable[str]) -> ICTable:
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     lines = _iter_lines(source)
     try:
         header = next(lines)

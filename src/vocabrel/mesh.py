@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .model import Term, Vocabulary, serialize_vocabulary, _iter_lines
+from .model import Term, Vocabulary, serialize_vocabulary, _iter_lines, _source_path
 
 RECORD_MARK = "*NEWRECORD"
 _FIELD_RE = re.compile(r"^([A-Z][A-Z0-9_]*) = (.*)$")
@@ -26,7 +26,7 @@ _FIELD_RE = re.compile(r"^([A-Z][A-Z0-9_]*) = (.*)$")
 
 def parse_mesh_records(source) -> list[dict[str, list[str]]]:
     """Split an ASCII MeSH file into records of key -> values."""
-    path = source if isinstance(source, str) else None
+    path = _source_path(source)
     records: list[dict[str, list[str]]] = []
     current: dict[str, list[str]] | None = None
     for lineno, raw in enumerate(_iter_lines(source), start=1):

@@ -153,6 +153,10 @@ def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
+def _source_path(source) -> str | None:
+    return str(source) if isinstance(source, (str, Path)) else None
+
+
 @contextlib.contextmanager
 def _open_out(dest: str | Path | IO[str]):
     if isinstance(dest, (str, Path)):
@@ -192,7 +196,7 @@ def parse_vocabulary(source: str | Path | IO[str] | Iterable[str]) -> Vocabulary
     Raises ParseError on malformed records, duplicate ids, or dangling
     parent references (each reported with the offending line number).
     """
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     terms: dict[TermId, Term] = {}
     qualifiers: set[QualifierId] = set()
     for lineno, line in enumerate(_iter_lines(source), start=1):
@@ -272,7 +276,7 @@ def parse_corpus(
     and ``empty_documents`` counts.  Duplicate (document, term) records merge;
     duplicate document records merge their annotation lists.
     """
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     skipped_terms = 0
     skipped_quals = 0
     pending: dict[str, list[Annotation]] = {}
@@ -427,7 +431,7 @@ def validate(vocab: Vocabulary) -> ValidationReport:
 
 def read_pairs(source: str | Path | IO[str] | Iterable[str]) -> list[tuple[str, str]]:
     """Read a document-pair list: one ``doc_a<TAB>doc_b`` per line, '#' comments skipped."""
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     pairs = []
     for lineno, line in enumerate(_iter_lines(source), start=1):
         text = line.rstrip("\n")

@@ -18,6 +18,7 @@ legitimately negative.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -28,13 +29,24 @@ from .errors import (
     EmptyDocumentError,
     NoMajorTermsError,
     NonPositiveQuadraticFormError,
+    ParseError,
     VocabrelError,
 )
 from .infocontent import ICTable
-from .model import Corpus, Document
+from .model import Corpus, Document, _iter_lines, _open_out, _source_path
 from .termgraph import SimMatrix
 
-METHODS = ("salton", "soft", "mts")
+# the parameters each method reads besides w; every other one keeps its default
+METHOD_PARAMS = {
+    "salton": ("vector", "qualifiers"),
+    "soft": ("vector", "graph", "lam", "eps"),
+    "mts": ("graph", "lam", "eps", "slim", "raw_distance"),
+}
+METHOD_LABELS = (*METHOD_PARAMS, "mts-rawdist")
+VECTORS = ("binary", "ic")
+GRAPHS = ("g1", "dic")
+# parameter names as users spell them, where that differs from the field name
+_SPELLED = {"lam": "lambda"}
 
 SimFn = Callable[[str, str], float]
 
@@ -42,7 +54,6 @@ SimFn = Callable[[str, str], float]
 class RelatednessScore(NamedTuple):
     value: float
     method: str
-    params: str = ""
 
 
 def _sparse_dot(x: TermVector, y: TermVector) -> float:
@@ -220,6 +231,13 @@ class MethodConfig:
     slim: bool = False
     raw_distance: bool = False
 
+    @classmethod
+    def from_label(cls, label: str, **params) -> MethodConfig:
+        """The configuration a method label names: ``mts-rawdist`` is mts on raw distances."""
+        if label == "mts-rawdist":
+            return cls("mts", raw_distance=True, **params)
+        return cls(label, **params)
+
     @property
     def method_label(self) -> str:
         if self.method == "mts" and self.raw_distance:
@@ -227,57 +245,63 @@ class MethodConfig:
         return self.method
 
     @property
+    def reads(self) -> tuple[str, ...]:
+        return METHOD_PARAMS.get(self.method, ())
+
+    @property
     def uses_ic(self) -> bool:
-        return (self.method in ("salton", "soft") and self.vector == "ic") or self.graph == "dic"
+        return self.vector == "ic" or self.graph == "dic"
 
     @property
     def uses_graph(self) -> bool:
-        return self.method in ("soft", "mts")
+        return "graph" in self.reads
+
+    def applicable(self) -> MethodConfig:
+        """This configuration with every parameter its method does not read at its default."""
+        return dataclasses.replace(
+            self, **{name: default for name, default in _DEFAULTS.items() if name not in self.reads}
+        )
 
     def validate(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in METHOD_PARAMS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.w < 1:
             raise ConfigError(f"major weight must be >= 1, got {self.w}")
-        if self.method in ("salton", "soft"):
-            if self.vector not in ("binary", "ic"):
-                raise ConfigError(f"unknown vector kind {self.vector!r}")
-            if self.slim:
-                raise ConfigError("slim applies to mts only")
-            if self.raw_distance:
-                raise ConfigError("raw-distance applies to mts only")
-        if self.method == "salton" and self.graph is not None:
-            raise ConfigError("salton does not use a term graph")
-        if self.method == "salton" and self.lam is not None:
-            raise ConfigError("salton does not use lambda")
-        if self.method == "soft" and self.qualifiers:
-            raise ConfigError("soft cosine does not support qualifier-augmented vectors")
-        if self.method == "mts" and self.qualifiers:
-            raise ConfigError("mts does not use vectors, qualifiers do not apply")
+        for name, default in _DEFAULTS.items():
+            if name not in self.reads and getattr(self, name) != default:
+                spelled = _SPELLED.get(name, name)
+                raise ConfigError(f"method {self.method_label!r} does not read {spelled}")
+        if self.vector not in VECTORS:
+            raise ConfigError(f"unknown vector kind {self.vector!r}")
+        if not 0.0 <= self.eps < 1.0:
+            raise ConfigError(f"eps must be in [0, 1), got {self.eps}")
         if self.uses_graph:
-            if self.graph not in ("g1", "dic"):
+            if self.graph not in GRAPHS:
                 raise ConfigError(f"method {self.method!r} needs graph g1 or dic, got {self.graph!r}")
             if self.lam is None or self.lam <= 0:
                 raise ConfigError(f"method {self.method!r} needs lambda > 0, got {self.lam}")
-            if not 0.0 <= self.eps < 1.0:
-                raise ConfigError(f"eps must be in [0, 1), got {self.eps}")
 
     def fields(self) -> dict[str, str]:
-        """Every parameter rendered for output; '.' marks one the method does not use."""
-        return {
-            "method": self.method_label,
-            "vector": self.vector if self.method in ("salton", "soft") else ".",
-            "qualifiers": str(self.qualifiers).lower() if self.method == "salton" else ".",
-            "graph": self.graph if self.uses_graph else ".",
-            "w": f"{self.w:g}",
-            "lambda": f"{self.lam:g}" if self.uses_graph and self.lam is not None else ".",
-            "eps": f"{self.eps:g}" if self.uses_graph else ".",
-            "slim": str(self.slim).lower() if self.method == "mts" else ".",
-        }
+        """Every parameter rendered for output; '.' marks one the method does not read."""
+        fields = {"method": self.method_label}
+        for name in ("vector", "qualifiers", "graph", "w", "lam", "eps", "slim"):
+            value = getattr(self, name) if name == "w" or name in self.reads else None
+            if isinstance(value, bool):
+                value = str(value).lower()
+            elif isinstance(value, (int, float)):
+                value = f"{value:g}"
+            fields[_SPELLED.get(name, name)] = "." if value is None else value
+        return fields
 
     def tag(self) -> str:
         """Key=value rendering of every parameter, for output headers."""
         return " ".join(f"{k}={v}" for k, v in self.fields().items())
+
+
+# the default of every parameter that METHOD_PARAMS assigns to methods
+_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(MethodConfig) if f.name not in ("method", "w")
+}
 
 
 @dataclass
@@ -346,7 +370,7 @@ class Scorer:
         return _mts_value(doc_a, doc_b, self._sim_fn, cfg.w, cfg.slim)
 
 
-PairScore = tuple[str, str, RelatednessScore]
+PairScore = tuple[str, str, float]
 PairError = tuple[str, str, str]
 
 
@@ -361,8 +385,6 @@ def pairwise_scores(
     A pair naming an unknown document or failing to score goes to ``errors``
     and is skipped.
     """
-    params = scorer.config.tag()
-    method = scorer.config.method_label
     for id_a, id_b in pairs:
         doc_a = corpus.documents.get(id_a)
         doc_b = corpus.documents.get(id_b)
@@ -374,7 +396,7 @@ def pairwise_scores(
             except VocabrelError as exc:
                 error = str(exc)
             else:
-                yield (id_a, id_b, RelatednessScore(value, method, params))
+                yield (id_a, id_b, value)
                 continue
         if errors is not None:
             errors.append((id_a, id_b, error))
@@ -382,27 +404,20 @@ def pairwise_scores(
 
 def write_scores(dest, tag: str, results: Iterable[PairScore]) -> int:
     """Write ``doc_a<TAB>doc_b<TAB>score`` lines under a ``#method ...`` header."""
-    from .model import _open_out
-
-    if tag.startswith("method="):
-        tag = tag[len("method=") :]
     n = 0
     with _open_out(dest) as fh:
-        fh.write(f"#method {tag}\n")
-        for id_a, id_b, score in results:
-            fh.write(f"{id_a}\t{id_b}\t{score.value:.17g}\n")
+        fh.write(f"#method {tag.removeprefix('method=')}\n")
+        for id_a, id_b, value in results:
+            fh.write(f"{id_a}\t{id_b}\t{value:.17g}\n")
             n += 1
     return n
 
 
-def read_scores(source) -> tuple[str, list[tuple[str, str, float]]]:
+def read_scores(source) -> tuple[str, list[PairScore]]:
     """Inverse of write_scores; returns (header tag, rows)."""
-    from .errors import ParseError
-    from .model import _iter_lines
-
     header = ""
-    rows: list[tuple[str, str, float]] = []
-    path = source if isinstance(source, str) else None
+    rows: list[PairScore] = []
+    path = _source_path(source)
     for lineno, line in enumerate(_iter_lines(source), start=1):
         line = line.rstrip("\n")
         if not line:
@@ -422,7 +437,7 @@ def read_scores(source) -> tuple[str, list[tuple[str, str, float]]]:
 
 
 __all__ = [
-    "METHODS",
+    "METHOD_PARAMS",
     "RelatednessScore",
     "MethodConfig",
     "Scorer",

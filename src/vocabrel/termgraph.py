@@ -24,7 +24,7 @@ from typing import IO, Callable, Iterable, Mapping
 
 from .errors import MissingDataError, ParseError
 from .infocontent import ICTable
-from .model import TermId, Vocabulary, _header_fields, _iter_lines, _open_out
+from .model import TermId, Vocabulary, _header_fields, _iter_lines, _open_out, _source_path
 
 UNREACHABLE = math.inf
 
@@ -222,7 +222,7 @@ class SimMatrix:
     @classmethod
     def load(cls, source: str | Path | IO[str] | Iterable[str]) -> "SimMatrix":
         """Read the TSV form, checking ``entries`` and ``sha256`` when the header has them."""
-        path = str(source) if isinstance(source, (str, Path)) else None
+        path = _source_path(source)
         lines = _iter_lines(source)
         try:
             header = next(lines)
@@ -330,7 +330,7 @@ def save_graph(graph: TermGraph, dest: str | Path | IO[str]) -> None:
 
 
 def load_graph(source: str | Path | IO[str] | Iterable[str]) -> TermGraph:
-    path = str(source) if isinstance(source, (str, Path)) else None
+    path = _source_path(source)
     lines = _iter_lines(source)
     try:
         header = next(lines)

@@ -88,6 +88,23 @@ def test_relate_rejects_incoherent_flags(synth_files, tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--method", "mts", "--graph", "g1", "--lambda", "1", "--vector", "ic"], "vector"),
+        (["--method", "salton", "--eps", "0.001"], "eps"),
+    ],
+)
+def test_relate_rejects_a_flag_the_method_does_not_read(synth_files, tmp_path, caplog, flags, name):
+    out = tmp_path / "x.tsv"
+    assert run(
+        "relate", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        *flags, "--out", out,
+    ) == 1
+    assert f"does not read {name}" in caplog.text
+    assert not out.exists()
+
+
 def test_stats_self_concordance(synth_files, tmp_path, capsys):
     out = tmp_path / "scores.tsv"
     run(
@@ -319,6 +336,29 @@ def test_sweep_configs_cross_product():
     # mts and mts-rawdist: 2 graph * 2 slim * 2 w each
     assert len(configs) == 8 + 8 + 8 + 8
     assert len(set(configs)) == len(configs)
+
+
+def test_sweep_configs_order_on_a_mixed_grid():
+    import argparse
+
+    args = argparse.Namespace(
+        preset=None, methods="salton,soft,mts,mts-rawdist", vectors="binary,ic",
+        graphs="g1,dic", w_list="1,3", lambda_list="1,2", slim_list="false,true",
+        qualifiers_list="false,true", eps=1e-4,
+    )
+    # per method label: w first, then the method's own parameters in flag order
+    expected = [
+        f"method=salton vector={v} qualifiers={q} graph=. w={w} lambda=. eps=. slim=."
+        for w in (1, 3) for v in ("binary", "ic") for q in ("false", "true")
+    ] + [
+        f"method=soft vector={v} qualifiers=. graph={g} w={w} lambda={lam} eps=0.0001 slim=."
+        for w in (1, 3) for v in ("binary", "ic") for g in ("g1", "dic") for lam in (1, 2)
+    ] + [
+        f"method={m} vector=. qualifiers=. graph={g} w={w} lambda={lam} eps=0.0001 slim={s}"
+        for m in ("mts", "mts-rawdist")
+        for w in (1, 3) for g in ("g1", "dic") for lam in (1, 2) for s in ("false", "true")
+    ]
+    assert [c.tag() for c in sweep_configs(args)] == expected
 
 
 def test_convert_mesh_cli(tmp_path):

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from vocabrel.benchmark import ingest_judgements
 from vocabrel.errors import ParseError
+from vocabrel.mesh import parse_mesh_records
 from vocabrel.model import (
     Annotation,
     Corpus,
@@ -17,6 +19,8 @@ from vocabrel.model import (
     serialize_vocabulary,
     validate,
 )
+
+from vocabrel.relatedness import read_scores
 
 from util import make_corpus, make_doc, make_vocab
 
@@ -172,3 +176,20 @@ def test_document_major_term_ids():
     doc = make_doc("d", ["t1", "t2", "t3"], majors=["t2"])
     assert doc.term_ids() == ("t1", "t2", "t3")
     assert doc.major_term_ids() == ("t2",)
+
+
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (ingest_judgements, "#topic doc level\nq1\td1\t2\nq1\td2\n"),
+        (read_scores, "#method salton\nd1\td2\t0.5\nd1\td2\n"),
+        (parse_mesh_records, "*NEWRECORD\nMH = Heart\nnot a field\n"),
+    ],
+    ids=["judgements", "scores", "mesh"],
+)
+def test_loaders_report_the_path_of_a_pathlib_source(tmp_path, loader, text):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}:3: ")

@@ -247,6 +247,20 @@ def test_method_config_validation():
             bad.validate()
 
 
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        (MethodConfig("mts", graph="g1", lam=1.0, vector="ic"), "vector"),
+        (MethodConfig("salton", eps=1e-3), "eps"),
+        (MethodConfig("salton", lam=1.0), "lambda"),
+        (MethodConfig("soft", graph="g1", lam=1.0, raw_distance=True), "raw_distance"),
+    ],
+)
+def test_method_config_rejects_a_parameter_its_method_does_not_read(config, name):
+    with pytest.raises(ConfigError, match=f"does not read {name}$"):
+        config.validate()
+
+
 def test_method_config_tag_marks_inapplicable_fields():
     tag = MethodConfig("salton", vector="ic", w=2).tag()
     assert tag == "method=salton vector=ic qualifiers=false graph=. w=2 lambda=. eps=. slim=."
@@ -302,4 +316,4 @@ def test_scores_round_trip():
     assert text.startswith("#method salton ")
     header, rows = read_scores(io.StringIO(text))
     assert header.startswith("salton ")
-    assert rows == [("d1", "d2", results[0][2].value)]
+    assert rows == [("d1", "d2", results[0][2])]

@@ -1,5 +1,6 @@
-"""The benchmark's tracer must still find every entry point it wraps."""
+"""Tooling outside the package: the benchmark's tracer and the scripts must still run."""
 
+import csv
 import json
 import os
 import subprocess
@@ -18,3 +19,29 @@ def test_tracer_finds_every_wrapped_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(trace.read_text())["missing"] == []
+
+
+def _script(tmp_path, name, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_scripts_run_end_to_end(tmp_path):
+    made = _script(tmp_path, "make_synthetic_data.py", "--out-dir", tmp_path / "world")
+    assert made.returncode == 0, made.stderr
+    for name in ("vocab.jsonl", "corpus.jsonl", "judgements.tsv"):
+        assert (tmp_path / "world" / name).stat().st_size > 0
+    out = tmp_path / "synthetic.csv"
+    bench = _script(
+        tmp_path, "run_synthetic_benchmark.py", "--iterations", 2, "--sample-size", 3,
+        "--out", out,
+    )
+    assert bench.returncode == 0, bench.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    assert all(row["n_errors"] == "0" for row in rows)
+    assert _script(tmp_path, "run_trec_benchmark.py", "--help").returncode == 0
