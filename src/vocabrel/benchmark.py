@@ -275,28 +275,30 @@ def classification_test(
                 f"need {sample_size} of each"
             )
         topics.append((topic, levels, docs, relevant, not_relevant))
-    tp = fp = tn = fn = 0
+    counts = np.zeros(4, dtype=np.int64)  # tn, fn, fp, tp
     for topic, levels, docs, relevant, not_relevant in topics:
+        index = {d: i for i, d in enumerate(docs)}
+        actual = np.array([levels[d] == Level.RELEVANT for d in docs])
+        # table[i, j] = score_fn(docs[i], docs[j]), asked when an iteration first
+        # needs it (the order a per-iteration loop asks in); never mirrored
+        table = np.zeros((len(docs), len(docs)))
+        asked = np.zeros(table.shape, dtype=bool)
         for iteration in range(iterations):
             rng = random.Random(derive_substream_seed(seed, topic, iteration))
-            seeds_rel = stable_sample(relevant, sample_size, rng)
-            seeds_not = stable_sample(not_relevant, sample_size, rng)
-            sampled = set(seeds_rel) | set(seeds_not)
-            for doc in docs:
-                if doc in sampled:
-                    continue
-                best_rel = max(score_fn(doc, s) for s in seeds_rel)
-                best_not = max(score_fn(doc, s) for s in seeds_not)
-                predicted = best_rel > best_not  # tie -> not relevant
-                actual = levels[doc] == Level.RELEVANT
-                if predicted and actual:
-                    tp += 1
-                elif predicted:
-                    fp += 1
-                elif actual:
-                    fn += 1
-                else:
-                    tn += 1
+            drawn = stable_sample(relevant, sample_size, rng)
+            drawn += stable_sample(not_relevant, sample_size, rng)
+            sampled = set(drawn)
+            rows = [index[d] for d in docs if d not in sampled]
+            cols = [index[s] for s in drawn]
+            block = np.ix_(rows, cols)
+            for i, j in zip(*np.nonzero(~asked[block])):
+                table[rows[i], cols[j]] = score_fn(docs[rows[i]], drawn[j])
+            asked[block] = True
+            scores = table[block]
+            # the larger max-similarity wins; a tie goes to not relevant
+            predicted = scores[:, :sample_size].max(axis=1) > scores[:, sample_size:].max(axis=1)
+            counts += np.bincount(2 * predicted + actual[rows], minlength=4)
+    tn, fn, fp, tp = map(int, counts)
     return Confusion(tp, fp, tn, fn)
 
 

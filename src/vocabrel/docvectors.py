@@ -28,54 +28,19 @@ class QualifiedTermVector:
     qual_part: Mapping[tuple[TermId, QualifierId], float]
 
 
-def _require_nonempty(doc: Document) -> None:
-    if doc.is_empty:
-        raise EmptyDocumentError(f"empty document {doc.id!r}")
-
-
 def binary_vector(doc: Document) -> TermVector:
     """Indicator vector: weight 1 on each annotated term, major status ignored."""
-    _require_nonempty(doc)
-    return {a.term: 1.0 for a in doc.annotations}
+    return document_vector(doc)
 
 
 def ic_weighted_vector(doc: Document, ic: ICTable, w: float) -> TermVector:
     """IC weights with major terms scaled by ``w`` (>= 1)."""
-    _require_nonempty(doc)
-    if w < 1:
-        raise ValueError(f"major weight must be >= 1, got {w}")
-    table = ic.ic
-    vec: TermVector = {}
-    for a in doc.annotations:
-        if a.term not in table:
-            raise MissingDataError(f"no IC value for term {a.term!r} (document {doc.id!r})")
-        vec[a.term] = table[a.term] * w if a.is_major else table[a.term]
-    return vec
-
-
-def _major_weighted_vector(doc: Document, w: float) -> TermVector:
-    # the "no IC" variant: indicator scaled by w on major terms
-    _require_nonempty(doc)
-    if w < 1:
-        raise ValueError(f"major weight must be >= 1, got {w}")
-    return {a.term: (w if a.is_major else 1.0) for a in doc.annotations}
-
-
-def _qual_indicators(doc: Document) -> dict[tuple[TermId, QualifierId], float]:
-    # unweighted indicators; major status does not scale qualifier entries
-    return {
-        (a.term, q): 1.0
-        for a in doc.annotations
-        for q in a.qualifiers
-    }
+    return document_vector(doc, use_ic=True, ic=ic, w=w)
 
 
 def qualified_vector(doc: Document, ic: ICTable, w: float) -> QualifiedTermVector:
     """IC-weighted term part plus an indicator per (term, qualifier) pair."""
-    return QualifiedTermVector(
-        term_part=ic_weighted_vector(doc, ic, w),
-        qual_part=_qual_indicators(doc),
-    )
+    return document_vector(doc, use_ic=True, ic=ic, w=w, qualifiers=True)
 
 
 def document_vector(
@@ -87,18 +52,29 @@ def document_vector(
 ) -> TermVector | QualifiedTermVector:
     """Build the representation selected by the method configuration.
 
-    ``use_ic=False`` gives the indicator vector with major terms scaled by
-    ``w`` (plain binary when w == 1); ``use_ic=True`` needs an ICTable.
-    ``qualifiers=True`` wraps either into a QualifiedTermVector.
+    Each term weighs its IC (``use_ic=True``, which needs an ICTable) or 1,
+    times ``w`` (>= 1) on major terms; ``use_ic=False`` with w == 1 is the
+    plain binary vector.  ``qualifiers=True`` returns a QualifiedTermVector that
+    adds an indicator per (term, qualifier) pair, which major status does not scale.
     """
-    if use_ic:
-        if ic is None:
-            raise MissingDataError("IC-weighted vectors need an ICTable")
-        term_part = ic_weighted_vector(doc, ic, w)
-    else:
-        term_part = _major_weighted_vector(doc, w)
+    if use_ic and ic is None:
+        raise MissingDataError("IC-weighted vectors need an ICTable")
+    if doc.is_empty:
+        raise EmptyDocumentError(f"empty document {doc.id!r}")
+    if w < 1:
+        raise ValueError(f"major weight must be >= 1, got {w}")
+    term_part: TermVector = {}
+    for a in doc.annotations:
+        if not use_ic:
+            weight = 1.0
+        elif a.term in ic.ic:
+            weight = ic.ic[a.term]
+        else:
+            raise MissingDataError(f"no IC value for term {a.term!r} (document {doc.id!r})")
+        term_part[a.term] = weight * w if a.is_major else weight
     if qualifiers:
-        return QualifiedTermVector(term_part=term_part, qual_part=_qual_indicators(doc))
+        qual_part = {(a.term, q): 1.0 for a in doc.annotations for q in a.qualifiers}
+        return QualifiedTermVector(term_part=term_part, qual_part=qual_part)
     return term_part
 
 

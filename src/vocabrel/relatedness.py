@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .docvectors import QualifiedTermVector, TermVector, document_vector
 from .errors import (
@@ -56,7 +56,7 @@ class RelatednessScore(NamedTuple):
     method: str
 
 
-def _sparse_dot(x: TermVector, y: TermVector) -> float:
+def _sparse_dot(x: Mapping, y: Mapping) -> float:
     # fixed iteration order (sorted shared keys) so x.y == y.x bitwise and
     # the soft cosine with a diagonal S reproduces this sum exactly
     total = 0.0
@@ -65,64 +65,72 @@ def _sparse_dot(x: TermVector, y: TermVector) -> float:
     return total
 
 
-def _split(vec: TermVector | QualifiedTermVector) -> tuple[TermVector, dict]:
+# Each method scores a pair in two steps: a prepare step does the work that
+# depends on one document alone, and a pair step combines two prepared records.
+
+
+class _SaltonDoc(NamedTuple):
+    term_part: Mapping
+    qual_part: Mapping
+    norm: float
+
+
+def _salton_prepare(vec: TermVector | QualifiedTermVector) -> _SaltonDoc:
     if isinstance(vec, QualifiedTermVector):
-        return dict(vec.term_part), dict(vec.qual_part)
-    return vec, {}
+        xt, xq = vec.term_part, vec.qual_part
+    else:
+        xt, xq = vec, {}
+    return _SaltonDoc(xt, xq, math.sqrt(_sparse_dot(xt, xt) + _sparse_dot(xq, xq)))
 
 
-def _salton_value(x: TermVector | QualifiedTermVector, y: TermVector | QualifiedTermVector) -> float:
-    xt, xq = _split(x)
-    yt, yq = _split(y)
-    nx = _sparse_dot(xt, xt) + _sparse_dot(xq, xq)
-    ny = _sparse_dot(yt, yt) + _sparse_dot(yq, yq)
-    if nx == 0.0 or ny == 0.0:
+def _salton_pair(x: _SaltonDoc, y: _SaltonDoc) -> float:
+    if x.norm == 0.0 or y.norm == 0.0:
         raise EmptyDocumentError("cosine of a zero vector")
-    dot = _sparse_dot(xt, yt) + _sparse_dot(xq, yq)
-    return dot / (math.sqrt(nx) * math.sqrt(ny))
+    dot = _sparse_dot(x.term_part, y.term_part) + _sparse_dot(x.qual_part, y.qual_part)
+    return dot / (x.norm * y.norm)
 
 
 def salton_cosine(
     x: TermVector | QualifiedTermVector, y: TermVector | QualifiedTermVector
 ) -> RelatednessScore:
     """Cosine similarity of two sparse vectors."""
-    return RelatednessScore(_salton_value(x, y), "salton")
+    return RelatednessScore(_salton_pair(_salton_prepare(x), _salton_prepare(y)), "salton")
 
 
-def _quadratic_form(x: TermVector, y: TermVector, matrix: SimMatrix) -> float:
+class _SoftDoc(NamedTuple):
+    vec: tuple[tuple[str, ...], tuple[float, ...]]  # (sorted keys, weights in key order)
+    qform: float  # x'Sx
+
+
+def _quadratic_form(x: tuple, y: tuple, matrix: SimMatrix) -> float:
+    # x and y are (sorted keys, weights in key order)
     total = 0.0
-    for i in sorted(x):
-        xi = x[i]
-        for j in sorted(y):
+    for i, xi in zip(*x):
+        for j, yj in zip(*y):
             s = matrix.sim(i, j)
             if s != 0.0:
-                total += s * xi * y[j]
+                total += s * xi * yj
     return total
 
 
-def _soft_value(
-    x: TermVector,
-    y: TermVector,
-    matrix: SimMatrix,
-    qx: float | None = None,
-    qy: float | None = None,
-) -> float:
-    if not x or not y:
+def _soft_prepare(vec: TermVector, matrix: SimMatrix) -> _SoftDoc:
+    if not vec:
         raise EmptyDocumentError("soft cosine of an empty vector")
-    # canonical argument order keeps the float sum, and hence the result,
-    # identical under argument swap
-    if sorted(y) < sorted(x):
+    keys = tuple(sorted(vec))
+    x = (keys, tuple(vec[k] for k in keys))
+    return _SoftDoc(x, _quadratic_form(x, x, matrix))
+
+
+def _soft_pair(x: _SoftDoc, y: _SoftDoc, matrix: SimMatrix) -> float:
+    # canonical argument order (keys, then weights) keeps the float sum, and
+    # hence the result, identical under argument swap
+    if y.vec < x.vec:
         x, y = y, x
-        qx, qy = qy, qx
-    if qx is None:
-        qx = _quadratic_form(x, x, matrix)
-    if qy is None:
-        qy = _quadratic_form(y, y, matrix)
-    if qx <= 0.0 or qy <= 0.0:
+    if x.qform <= 0.0 or y.qform <= 0.0:
         raise NonPositiveQuadraticFormError(
-            f"non-positive quadratic form (x'Sx={qx!r}, y'Sy={qy!r})"
+            f"non-positive quadratic form (x'Sx={x.qform!r}, y'Sy={y.qform!r})"
         )
-    return _quadratic_form(x, y, matrix) / (math.sqrt(qx) * math.sqrt(qy))
+    return _quadratic_form(x.vec, y.vec, matrix) / (math.sqrt(x.qform) * math.sqrt(y.qform))
 
 
 def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessScore:
@@ -133,46 +141,39 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
     """
     if isinstance(x, QualifiedTermVector) or isinstance(y, QualifiedTermVector):
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
-    return RelatednessScore(_soft_value(x, y, matrix), "soft")
+    value = _soft_pair(_soft_prepare(x, matrix), _soft_prepare(y, matrix), matrix)
+    return RelatednessScore(value, "soft")
 
 
-def _mts_terms(doc: Document, slim: bool) -> list[tuple[str, bool]]:
-    if doc.is_empty:
-        raise EmptyDocumentError(f"empty document {doc.id!r}")
-    pairs = [(a.term, a.is_major) for a in doc.annotations]
-    if slim:
-        pairs = [(t, m) for t, m in pairs if m]
-        if not pairs:
-            raise NoMajorTermsError(f"document {doc.id!r} has no major terms")
-    return pairs
+class _MtsDoc(NamedTuple):
+    terms: list[tuple[str, float]]  # (term, weight)
+    weight: float  # sum of the weights
 
 
-def _mts_side(
-    terms: Sequence[tuple[str, bool]],
-    other: Sequence[tuple[str, bool]],
-    sim: SimFn,
-    w: float,
-) -> tuple[float, float]:
-    num = 0.0
-    den = 0.0
-    for t, major in terms:
-        best = max(sim(t, u) for u, _ in other)
-        weight = w if major else 1.0
-        num += weight * best
-        den += weight
-    return num, den
-
-
-def _mts_value(doc_a: Document, doc_b: Document, sim: SimFn, w: float, slim: bool) -> float:
+def _mts_prepare(doc: Document, w: float, slim: bool) -> _MtsDoc:
     if w < 1:
         raise ValueError(f"major weight must be >= 1, got {w}")
-    if doc_b.id < doc_a.id:
-        doc_a, doc_b = doc_b, doc_a
-    ta = _mts_terms(doc_a, slim)
-    tb = _mts_terms(doc_b, slim)
-    num_a, den_a = _mts_side(ta, tb, sim, w)
-    num_b, den_b = _mts_side(tb, ta, sim, w)
-    return (num_a + num_b) / (den_a + den_b)
+    if doc.is_empty:
+        raise EmptyDocumentError(f"empty document {doc.id!r}")
+    annotations = [a for a in doc.annotations if a.is_major] if slim else doc.annotations
+    if not annotations:
+        raise NoMajorTermsError(f"document {doc.id!r} has no major terms")
+    terms = [(a.term, w if a.is_major else 1.0) for a in annotations]
+    total = 0.0
+    for _, weight in terms:
+        total += weight
+    return _MtsDoc(terms, total)
+
+
+def _mts_pair(a: _MtsDoc, b: _MtsDoc, sim: SimFn) -> float:
+    """Best-match average; callers pass the smaller document id as ``a``."""
+    nums = []
+    for x, y in ((a, b), (b, a)):
+        num = 0.0
+        for t, weight in x.terms:
+            num += weight * max(sim(t, u) for u, _ in y.terms)
+        nums.append(num)
+    return (nums[0] + nums[1]) / (a.weight + b.weight)
 
 
 def mts(
@@ -183,7 +184,10 @@ def mts(
     slim: bool = False,
 ) -> RelatednessScore:
     """Average of per-term best similarities, major terms weighted by w."""
-    return RelatednessScore(_mts_value(doc_a, doc_b, sim, w, slim), "mts")
+    if doc_b.id < doc_a.id:
+        doc_a, doc_b = doc_b, doc_a
+    value = _mts_pair(_mts_prepare(doc_a, w, slim), _mts_prepare(doc_b, w, slim), sim)
+    return RelatednessScore(value, "mts")
 
 
 def matrix_sim_fn(matrix: SimMatrix) -> SimFn:
@@ -306,13 +310,12 @@ _DEFAULTS = {
 
 @dataclass
 class Scorer:
-    """Applies one configured method to document pairs, caching per-document work."""
+    """Applies one configured method to document pairs, preparing each document once."""
 
     config: MethodConfig
     ic: ICTable | None = None
     matrix: SimMatrix | None = None
-    _vectors: dict[str, TermVector | QualifiedTermVector] = field(default_factory=dict, repr=False)
-    _qforms: dict[str, float] = field(default_factory=dict, repr=False)
+    _prepared: dict[str, _SaltonDoc | _SoftDoc | _MtsDoc] = field(default_factory=dict, repr=False)
     _sim_fn: SimFn | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -328,46 +331,40 @@ class Scorer:
             else:
                 self._sim_fn = self.matrix.sim
 
-    def _vector(self, doc: Document) -> TermVector | QualifiedTermVector:
-        vec = self._vectors.get(doc.id)
-        if vec is None:
+    def _prepare(self, doc: Document) -> _SaltonDoc | _SoftDoc | _MtsDoc:
+        prepared = self._prepared.get(doc.id)
+        if prepared is None:
             cfg = self.config
-            vec = document_vector(
-                doc,
-                use_ic=cfg.vector == "ic",
-                ic=self.ic,
-                w=cfg.w,
-                qualifiers=cfg.qualifiers,
-            )
-            self._vectors[doc.id] = vec
-        return vec
-
-    def _qform(self, doc_id: str, vec: TermVector) -> float:
-        q = self._qforms.get(doc_id)
-        if q is None:
-            assert self.matrix is not None
-            q = _quadratic_form(vec, vec, self.matrix)
-            self._qforms[doc_id] = q
-        return q
+            if cfg.method == "mts":
+                prepared = _mts_prepare(doc, cfg.w, cfg.slim)
+            else:
+                vec = document_vector(
+                    doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers
+                )
+                if cfg.method == "salton":
+                    prepared = _salton_prepare(vec)
+                else:
+                    assert self.matrix is not None
+                    prepared = _soft_prepare(vec, self.matrix)
+            self._prepared[doc.id] = prepared
+        return prepared
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
         cfg = self.config
         if cfg.method == "salton":
-            return _salton_value(self._vector(doc_a), self._vector(doc_b))
+            return _salton_pair(self._prepare(doc_a), self._prepare(doc_b))
         if cfg.method == "soft":
             assert self.matrix is not None
-            x = self._vector(doc_a)
-            y = self._vector(doc_b)
             try:
-                return _soft_value(
-                    x, y, self.matrix, self._qform(doc_a.id, x), self._qform(doc_b.id, y)
-                )
+                return _soft_pair(self._prepare(doc_a), self._prepare(doc_b), self.matrix)
             except NonPositiveQuadraticFormError as exc:
                 raise NonPositiveQuadraticFormError(
                     f"documents {doc_a.id!r}, {doc_b.id!r}: {exc}"
                 ) from None
         assert self._sim_fn is not None
-        return _mts_value(doc_a, doc_b, self._sim_fn, cfg.w, cfg.slim)
+        if doc_b.id < doc_a.id:
+            doc_a, doc_b = doc_b, doc_a
+        return _mts_pair(self._prepare(doc_a), self._prepare(doc_b), self._sim_fn)
 
 
 PairScore = tuple[str, str, float]

@@ -110,6 +110,31 @@ def naive_mts(terms_a, terms_b, sim, w: float = 1.0) -> float:
     return num / den
 
 
+def naive_classification(topics: dict, draw, score, iterations: int) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of the max-similarity rule, asking ``score`` for every comparison.
+
+    ``topics`` maps a topic to {doc: is_relevant}; ``draw(topic, iteration)``
+    gives that iteration's (relevant seeds, not-relevant seeds).  A document
+    is predicted relevant only when its best relevant seed beats its best
+    not-relevant seed.
+    """
+    tp = fp = tn = fn = 0
+    for topic in sorted(topics):
+        for iteration in range(iterations):
+            seeds_rel, seeds_not = draw(topic, iteration)
+            for doc, actual in sorted(topics[topic].items()):
+                if doc in seeds_rel or doc in seeds_not:
+                    continue
+                best_rel = max(score(doc, s) for s in seeds_rel)
+                best_not = max(score(doc, s) for s in seeds_not)
+                predicted = best_rel > best_not
+                tp += predicted and actual
+                fp += predicted and not actual
+                tn += not predicted and not actual
+                fn += not predicted and actual
+    return tp, fp, tn, fn
+
+
 def naive_cosine(x: dict, y: dict) -> float:
     dot = sum(v * y[k] for k, v in x.items() if k in y)
     nx = math.sqrt(sum(v * v for v in x.values()))

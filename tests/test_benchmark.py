@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from vocabrel.benchmark import (
     filter_topics,
     ingest_judgements,
     mcc,
+    pair_key,
     parameter_sweep,
     run_benchmark,
     skewness,
@@ -302,6 +304,63 @@ def test_classification_takes_the_larger_max_similarity_not_the_sum():
     assert conf == Confusion(tp=0, fp=3, tn=0, fn=3)
 
 
+def test_classification_matches_the_naive_loop():
+    # asymmetric scores drawn from five values, so maxima often tie
+    for world in range(30):
+        rng = random.Random(world)
+        sample_size = rng.randint(1, 3)
+        judgements = []
+        for t in range(rng.randint(1, 3)):
+            n_rel = rng.randint(sample_size, sample_size + 4)
+            n_not = rng.randint(sample_size, sample_size + 4)
+            judgements += _toy_judgements(n_rel, n_not, topics=(f"T{t}",))
+        topics: dict = {}
+        for j in judgements:
+            topics.setdefault(j.topic, {})[j.doc] = j.level == Level.RELEVANT
+        table: dict = {}
+
+        def score(doc: str, seed: str) -> float:
+            return table.setdefault((doc, seed), rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)))
+
+        def draw(topic: str, iteration: int):
+            docs = sorted(topics[topic])
+            r = random.Random(derive_substream_seed(world, topic, iteration))
+            rel = stable_sample([d for d in docs if topics[topic][d]], sample_size, r)
+            return rel, stable_sample([d for d in docs if not topics[topic][d]], sample_size, r)
+
+        conf = classification_test(
+            judgements, score, iterations=4, sample_size=sample_size, seed=world
+        )
+        expected = oracles.naive_classification(topics, draw, score, iterations=4)
+        assert (conf.tp, conf.fp, conf.tn, conf.fn) == expected
+
+
+def _counting(score_fn):
+    asked: Counter = Counter()
+
+    def counted(a, b):
+        asked[a, b] += 1
+        return score_fn(a, b)
+
+    return counted, asked
+
+
+def test_classification_asks_each_ordered_pair_at_most_once():
+    judgements = _toy_judgements()
+    score, asked = _counting(_fake_score)
+    classification_test(judgements, score, iterations=5, sample_size=2, seed=9)
+    topic = {j.doc: j.topic for j in judgements}
+    assert asked and max(asked.values()) == 1
+    assert all(topic[a] == topic[b] and a != b for a, b in asked)
+
+
+def test_classification_of_a_topic_that_is_all_seeds_asks_nothing():
+    score, asked = _counting(_fake_score)
+    judgements = _toy_judgements(n_rel=2, n_not=2)
+    conf = classification_test(judgements, score, iterations=3, sample_size=2)
+    assert conf.total == 0 and not asked
+
+
 # --- end-to-end benchmark ----------------------------------------------------
 
 
@@ -340,6 +399,16 @@ def test_run_benchmark_reproducible(synth_world, filtered_synth):
     assert (a.delta, a.phi, a.mean_same, a.mean_separate) == (
         b.delta, b.phi, b.mean_same, b.mean_separate
     )
+
+
+def test_run_benchmark_scores_each_document_pair_at_most_once(synth_world, filtered_synth):
+    _, corpus, _ = synth_world
+    scorer = Scorer(config=MethodConfig("salton"))
+    score, asked = _counting(scorer.score)
+    scorer.score = score
+    run_benchmark(corpus, filtered_synth, scorer, iterations=5, sample_size=5, seed=3)
+    per_pair = Counter(pair_key(a.id, b.id) for a, b in asked.elements())
+    assert per_pair and max(per_pair.values()) == 1
 
 
 def test_score_source_memoizes_and_reports_missing():

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 
@@ -182,6 +183,23 @@ def test_symmetry_is_bitwise(seed):
     assert mts(p_a, p_b, sim, w=3.0).value == mts(p_b, p_a, sim, w=3.0).value
 
 
+def test_soft_cosine_is_bitwise_symmetric_on_the_same_terms():
+    # both documents carry the same four terms with different major terms, so
+    # their sorted keys tie and only the weights can order the pair
+    rng = random.Random(5)
+    for _ in range(20):
+        terms = rng.sample(TERM_POOL, 4)
+        pairs = itertools.combinations(terms, 2)
+        matrix = sim_matrix({pair: rng.uniform(0.05, 0.3) for pair in pairs})
+        doc_a = make_doc("a", terms, majors=terms[:2])
+        doc_b = make_doc("b", terms, majors=terms[1:])
+        x = document_vector(doc_a, w=3.0)
+        y = document_vector(doc_b, w=3.0)
+        assert soft_cosine(x, y, matrix).value.hex() == soft_cosine(y, x, matrix).value.hex()
+        scorer = Scorer(config=MethodConfig("soft", graph="g1", lam=1.0, w=3), matrix=matrix)
+        assert scorer.score(doc_a, doc_b).hex() == scorer.score(doc_b, doc_a).hex()
+
+
 def test_ic_rescaling_leaves_cosine_unchanged(ic_fixture):
     _, table = ic_fixture
     doc_a = make_doc("a", ["r", "c1"], majors=["c1"])
@@ -270,14 +288,14 @@ def test_method_config_tag_marks_inapplicable_fields():
 
 
 def test_scorer_reports_document_ids_on_guard_error():
-    matrix = sim_matrix({("t1", "t2"): 1.5})
-    corpus = make_corpus(make_doc("bad1", ["t1", "t2"]), make_doc("bad2", ["t1"]))
+    # bad1's only term has IC 0, so its IC-weighted vector is zero and x'Sx = 0
+    ic = ICTable(ic={"t1": 0.0, "t2": 1.0}, aggregate={"t1": 4, "t2": 1}, denominator=4)
+    corpus = make_corpus(make_doc("bad1", ["t1"]), make_doc("bad2", ["t2"]))
     scorer = Scorer(
-        config=MethodConfig("soft", vector="binary", graph="g1", lam=1.0), matrix=matrix
+        config=MethodConfig("soft", vector="ic", graph="g1", lam=1.0),
+        ic=ic, matrix=sim_matrix({("t1", "t2"): 0.5}),
     )
-    # force a negative-ish quadratic form via a crafted vector cache
-    scorer._vectors["bad1"] = {"t1": 1.0, "t2": -1.0}
-    with pytest.raises(NonPositiveQuadraticFormError) as err:
+    with pytest.raises(NonPositiveQuadraticFormError, match=r"x'Sx=0\.0, y'Sy=1\.0") as err:
         scorer.score(corpus.documents["bad1"], corpus.documents["bad2"])
     assert "bad1" in str(err.value) and "bad2" in str(err.value)
 

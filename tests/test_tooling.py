@@ -45,3 +45,15 @@ def test_scripts_run_end_to_end(tmp_path):
     assert len(rows) == 10
     assert all(row["n_errors"] == "0" for row in rows)
     assert _script(tmp_path, "run_trec_benchmark.py", "--help").returncode == 0
+
+
+def test_output_digests_runs_every_command(tmp_path):
+    made = _script(tmp_path, "make_synthetic_data.py", "--out-dir", tmp_path / "world",
+                   "--topics", 2, "--docs-per-topic", 12)
+    assert made.returncode == 0, made.stderr
+    run = _script(tmp_path, "output_digests.py", tmp_path / "world", tmp_path / "out")
+    assert run.returncode == 0, run.stderr
+    digests = dict(reversed(line.split("  ")) for line in run.stdout.splitlines())
+    assert len(digests) == 26 and not any(name.endswith("manifest.json") for name in digests)
+    cold, cached = digests["sweep-ref9.csv"], digests["sweep-ref9-cached.csv"]
+    assert cold == digests["sweep-ref9-fill.csv"] == cached
