@@ -55,6 +55,11 @@ def commands(world: Path) -> list[list[str]]:
     cache = ["--cache", "work/cache"]
     pairs = ["--pairs", "work/pairs.tsv"]
     cmds = [
+        ["ic", *inputs, "--out", "ic.tsv"],
+        ["graph", *inputs, "--graph", "g1", "--out", "graph-g1.tsv"],
+        ["graph", *inputs, "--graph", "dic", "--out", "graph-dic.tsv"],
+        ["simmatrix", *inputs, "--graph", "g1", "--lambda", "1", "--out", "simmatrix-g1-l1.tsv"],
+        ["simmatrix", *inputs, "--graph", "dic", "--lambda", "2", "--out", "simmatrix-dic-l2.tsv"],
         ["sweep", *judged, *REFERENCE9, "--out", "sweep-ref9.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-fill.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-cached.csv"],

@@ -198,9 +198,7 @@ def _workspace(args: argparse.Namespace) -> Workspace:
     vocab = parse_vocabulary(args.vocab)
     report = validate(vocab)
     if not report.ok:
-        raise CycleError(
-            f"vocabulary has {len(report.cycles)} parent cycle(s), e.g. {report.cycles[0]}"
-        )
+        raise CycleError(report.cycles[0])
     tokens = {"vocab": _sha256(args.vocab)}
     corpus = None
     corpus_path = getattr(args, "corpus", None)

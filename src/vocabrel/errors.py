@@ -20,7 +20,11 @@ class ParseError(VocabrelError):
 
 
 class CycleError(VocabrelError):
-    """The vocabulary parent relation contains a directed cycle; run validate() for details."""
+    """The vocabulary parent relation contains a directed cycle."""
+
+    def __init__(self, cycle: list[str]):
+        # each term is a parent of the next, as model.leaves_first finds them
+        super().__init__(f"vocabulary has a parent cycle: {' > '.join([*cycle, cycle[0]])}")
 
 
 class EmptyDocumentError(VocabrelError):

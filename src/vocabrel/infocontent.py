@@ -14,7 +14,9 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .errors import CycleError, MissingDataError, ParseError, VocabrelError
-from .model import Corpus, TermId, Vocabulary, _header_fields, _iter_lines, _open_out, _source_path
+from .model import (
+    Corpus, TermId, Vocabulary, _header_fields, _iter_lines, _open_out, _source_path, leaves_first,
+)
 
 
 @dataclass(frozen=True)
@@ -79,26 +81,18 @@ def descendant_closure(vocab: Vocabulary) -> dict[TermId, frozenset[TermId]]:
     """All terms reachable from each term via child edges, the term itself excluded.
 
     Exact on DAGs with multiple parents: a term appears at most once in each
-    closure set.  Raises CycleError on cyclic vocabularies (see validate()).
+    closure set.  Raises CycleError naming one cycle on cyclic vocabularies.
     """
-    remaining = {t: len(vocab.children_of(t)) for t in vocab.terms}
-    ready = sorted(t for t, n in remaining.items() if n == 0)
+    order, cycle = leaves_first(vocab)
+    if cycle:
+        raise CycleError(cycle)
     closure: dict[TermId, frozenset[TermId]] = {}
-    while ready:
-        tid = ready.pop()
+    for tid in order:
         acc: set[TermId] = set()
         for child in vocab.children_of(tid):
             acc.add(child)
             acc.update(closure[child])
         closure[tid] = frozenset(acc)
-        for parent in vocab.parents_of(tid):
-            remaining[parent] -= 1
-            if remaining[parent] == 0:
-                ready.append(parent)
-    if len(closure) != len(vocab):
-        raise CycleError(
-            "vocabulary parent relation is cyclic; validate() lists the cycles"
-        )
     return closure
 
 

@@ -46,10 +46,10 @@ def parse_mesh_records(source) -> list[dict[str, list[str]]]:
     return records
 
 
-def _single(record: dict[str, list[str]], key: str, what: str) -> str:
+def _single(record: dict[str, list[str]], key: str, what: str, path: str | None) -> str:
     values = record.get(key, [])
     if len(values) != 1 or not values[0]:
-        raise ParseError(f"{what} record needs exactly one {key} field, got {values!r}")
+        raise ParseError(f"{what} record needs exactly one {key} field, got {values!r}", path)
     return values[0]
 
 
@@ -63,19 +63,22 @@ def convert_mesh(
     Returns counts: terms, edges, qualifiers.
     """
     records = parse_mesh_records(descriptor_source)
+    path = _source_path(descriptor_source)
     tree_owner: dict[str, str] = {}
     headings: dict[str, str] = {}
     trees: dict[str, list[str]] = {}
     for record in records:
-        ui = _single(record, "UI", "descriptor")
-        mh = _single(record, "MH", "descriptor")
+        ui = _single(record, "UI", "descriptor", path)
+        mh = _single(record, "MH", "descriptor", path)
         if ui in headings:
-            raise ParseError(f"duplicate descriptor UI {ui!r}")
+            raise ParseError(f"duplicate descriptor UI {ui!r}", path)
         headings[ui] = mh
         trees[ui] = record.get("MN", [])
         for tn in trees[ui]:
             if tn in tree_owner:
-                raise ParseError(f"tree number {tn!r} owned by both {tree_owner[tn]!r} and {ui!r}")
+                raise ParseError(
+                    f"tree number {tn!r} owned by both {tree_owner[tn]!r} and {ui!r}", path
+                )
             tree_owner[tn] = ui
 
     terms: dict[str, Term] = {}
@@ -88,7 +91,9 @@ def convert_mesh(
             prefix = tn.rsplit(".", 1)[0]
             owner = tree_owner.get(prefix)
             if owner is None:
-                raise ParseError(f"tree number {tn!r} of {ui!r} has no parent record for {prefix!r}")
+                raise ParseError(
+                    f"tree number {tn!r} of {ui!r} has no parent record for {prefix!r}", path
+                )
             if owner != ui:
                 parents.add(owner)
         terms[ui] = Term(id=ui, label=headings[ui], parents=frozenset(parents))
@@ -96,11 +101,12 @@ def convert_mesh(
 
     qualifiers: dict[str, str] = {}
     if qualifier_source is not None:
+        qpath = _source_path(qualifier_source)
         for record in parse_mesh_records(qualifier_source):
-            ui = _single(record, "UI", "qualifier")
-            sh = _single(record, "SH", "qualifier")
+            ui = _single(record, "UI", "qualifier", qpath)
+            sh = _single(record, "SH", "qualifier", qpath)
             if ui in qualifiers or ui in headings:
-                raise ParseError(f"duplicate qualifier UI {ui!r}")
+                raise ParseError(f"duplicate qualifier UI {ui!r}", qpath)
             qualifiers[ui] = sh
 
     vocab = Vocabulary(terms=terms, qualifiers=qualifiers) if terms else None

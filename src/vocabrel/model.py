@@ -95,9 +95,6 @@ class Vocabulary:
     def __contains__(self, term_id: object) -> bool:
         return term_id in self._terms
 
-    def term_ids(self) -> list[TermId]:
-        return sorted(self._terms)
-
     def parents_of(self, term_id: TermId) -> frozenset[TermId]:
         return self._terms[term_id].parents
 
@@ -137,8 +134,7 @@ class ValidationReport:
     n_terms: int
     n_edges: int
     n_qualifiers: int
-    cycles: list[list[TermId]] = field(default_factory=list)
-    orphans: list[TermId] = field(default_factory=list)
+    cycles: list[list[TermId]] = field(default_factory=list)  # at most one, see leaves_first
 
     @property
     def ok(self) -> bool:
@@ -356,76 +352,46 @@ def serialize_corpus(
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _strongly_connected_components(vocab: Vocabulary) -> list[list[TermId]]:
-    """Tarjan's algorithm (iterative) over the child->parent digraph."""
-    index: dict[TermId, int] = {}
-    lowlink: dict[TermId, int] = {}
-    on_stack: set[TermId] = set()
-    stack: list[TermId] = []
-    sccs: list[list[TermId]] = []
-    counter = 0
+def leaves_first(vocab: Vocabulary) -> tuple[list[TermId], list[TermId]]:
+    """Every term after all of its children, and one parent cycle (empty if none).
 
-    for root in sorted(vocab.terms):
-        if root in index:
-            continue
-        work: list[tuple[TermId, Iterator[TermId]]] = []
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work.append((root, iter(sorted(vocab.parents_of(root)))))
-        while work:
-            node, edges = work[-1]
-            advanced = False
-            for succ in edges:
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(vocab.parents_of(succ)))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    sccs.append(sorted(component))
-    return sorted(sccs)
+    Kahn's algorithm over child counts.  When the parent relation is cyclic
+    some terms are left unordered, each with an unordered child; the cycle is
+    found by walking from the smallest of them to its smallest unordered child
+    until a term repeats.  Each term of the cycle is a parent of the next.
+    """
+    remaining = {t: len(vocab.children_of(t)) for t in vocab.terms}
+    ready = sorted(t for t, n in remaining.items() if n == 0)
+    order: list[TermId] = []
+    while ready:
+        tid = ready.pop()
+        order.append(tid)
+        for parent in vocab.parents_of(tid):
+            remaining[parent] -= 1
+            if remaining[parent] == 0:
+                ready.append(parent)
+    if len(order) == len(vocab):
+        return order, []
+    walk: dict[TermId, int] = {}
+    tid = min(t for t, n in remaining.items() if n)
+    while tid not in walk:
+        walk[tid] = len(walk)
+        tid = next(c for c in vocab.children_of(tid) if remaining[c])
+    return order, list(walk)[walk[tid] :]
 
 
 def validate(vocab: Vocabulary) -> ValidationReport:
-    """Structural report: directed cycles, isolated terms, and counts.
+    """Structural report: counts and, if the parent relation is cyclic, one cycle.
 
-    Report-only; a vocabulary whose report lists cycles is rejected by the
-    closure and graph modules.
+    Report-only; a vocabulary whose report lists a cycle is rejected by
+    ``descendant_closure`` and by every command.
     """
-    has_children = {t: False for t in vocab.terms}
-    for term in vocab.terms.values():
-        for p in term.parents:
-            has_children[p] = True
-    orphans = sorted(
-        t for t, term in vocab.terms.items() if not term.parents and not has_children[t]
-    )
+    _, cycle = leaves_first(vocab)
     return ValidationReport(
         n_terms=len(vocab),
         n_edges=vocab.edge_count(),
         n_qualifiers=len(vocab.qualifiers),
-        cycles=_strongly_connected_components(vocab),
-        orphans=orphans,
+        cycles=[cycle] if cycle else [],
     )
 
 
@@ -457,6 +423,7 @@ __all__ = [
     "serialize_vocabulary",
     "parse_corpus",
     "serialize_corpus",
+    "leaves_first",
     "validate",
     "read_pairs",
 ]

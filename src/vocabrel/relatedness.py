@@ -190,11 +190,6 @@ def mts(
     return RelatednessScore(value, "mts")
 
 
-def matrix_sim_fn(matrix: SimMatrix) -> SimFn:
-    """Similarity lookup backed by a materialized SimMatrix."""
-    return matrix.sim
-
-
 def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
     """Negated shortest-path distances recovered from a SimMatrix.
 
@@ -441,7 +436,6 @@ __all__ = [
     "salton_cosine",
     "soft_cosine",
     "mts",
-    "matrix_sim_fn",
     "matrix_distance_fn",
     "pairwise_scores",
     "write_scores",

@@ -35,7 +35,6 @@ class TermGraph:
 
     kind: str  # "g1" (unit weights) or "dic" (IC-difference weights)
     adj: Mapping[TermId, tuple[tuple[TermId, float], ...]]
-    unit_weights: bool
 
     def __len__(self) -> int:
         return len(self.adj)
@@ -56,7 +55,7 @@ def _adjacency(vocab: Vocabulary, weight_fn: Callable[[TermId, TermId], float]):
 
 def build_unweighted_graph(vocab: Vocabulary) -> TermGraph:
     """One edge of weight 1 per distinct parent-child pair."""
-    return TermGraph(kind="g1", adj=_adjacency(vocab, lambda a, b: 1.0), unit_weights=True)
+    return TermGraph(kind="g1", adj=_adjacency(vocab, lambda a, b: 1.0))
 
 
 def build_ic_weighted_graph(vocab: Vocabulary, ic: ICTable) -> TermGraph:
@@ -65,34 +64,28 @@ def build_ic_weighted_graph(vocab: Vocabulary, ic: ICTable) -> TermGraph:
     missing = [t for t in vocab.terms if t not in table]
     if missing:
         raise MissingDataError(f"no IC value for term {missing[0]!r}")
-    return TermGraph(
-        kind="dic",
-        adj=_adjacency(vocab, lambda a, b: abs(table[a] - table[b])),
-        unit_weights=False,
-    )
+    return TermGraph(kind="dic", adj=_adjacency(vocab, lambda a, b: abs(table[a] - table[b])))
 
 
 def single_source_distances(
     graph: TermGraph,
     source: TermId,
     keep: Callable[[float], bool] | None = None,
-    target: TermId | None = None,
 ) -> dict[TermId, float]:
     """Exact shortest-path costs from ``source`` to every node satisfying ``keep``.
 
     ``keep`` must be antitone in cost (once false it stays false for larger
     costs); the search frontier is pruned at the first failing node.  BFS is
-    used for unit-weight graphs, Dijkstra otherwise.  If ``target`` is given
-    the search stops once its distance is settled.
+    used for the unit-weight g1 graph, Dijkstra otherwise.
     """
     if source not in graph.adj:
         raise KeyError(f"unknown term {source!r}")
-    if graph.unit_weights:
-        return _bfs(graph, source, keep, target)
-    return _dijkstra(graph, source, keep, target)
+    if graph.kind == "g1":
+        return _bfs(graph, source, keep)
+    return _dijkstra(graph, source, keep)
 
 
-def _bfs(graph, source, keep, target):
+def _bfs(graph, source, keep):
     dist: dict[TermId, float] = {}
     frontier = [source]
     level = 0
@@ -104,8 +97,6 @@ def _bfs(graph, source, keep, target):
             if node in dist:
                 continue
             dist[node] = float(level)
-            if node == target:
-                return dist
             for nbr, _w in graph.adj[node]:
                 if nbr not in dist:
                     nxt.append(nbr)
@@ -114,7 +105,7 @@ def _bfs(graph, source, keep, target):
     return dist
 
 
-def _dijkstra(graph, source, keep, target):
+def _dijkstra(graph, source, keep):
     dist: dict[TermId, float] = {}
     heap: list[tuple[float, TermId]] = [(0.0, source)]
     while heap:
@@ -124,33 +115,10 @@ def _dijkstra(graph, source, keep, target):
         if keep is not None and not keep(d):
             break  # costs pop in nondecreasing order; nothing later can pass
         dist[node] = d
-        if node == target:
-            return dist
         for nbr, w in graph.adj[node]:
             if nbr not in dist:
                 heappush(heap, (d + w, nbr))
     return dist
-
-
-def shortest_distance(graph: TermGraph, a: TermId, b: TermId) -> float:
-    """Shortest-path cost between two terms; ``inf`` when no path exists."""
-    if a not in graph.adj:
-        raise KeyError(f"unknown term {a!r}")
-    if b not in graph.adj:
-        raise KeyError(f"unknown term {b!r}")
-    if a == b:
-        return 0.0
-    dist = single_source_distances(graph, a, target=b)
-    return dist.get(b, UNREACHABLE)
-
-
-def distance_to_similarity(dist: float, lam: float) -> float:
-    """Convert a distance to a similarity in [0, 1] via exp(-dist/lam)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if dist < 0:
-        raise ValueError(f"distance must be non-negative, got {dist}")
-    return math.exp(-dist / lam)
 
 
 class SimMatrix:
@@ -286,9 +254,10 @@ def similarity_matrix(
 ) -> SimMatrix:
     """Materialize similarities ``exp(-dist/lam) > eps`` as a SimMatrix.
 
-    With ``restrict`` given, only rows/columns for those terms (typically the
-    terms occurring in the corpus) are materialized; each search still runs
-    over the whole graph.  The result is identical for any source order.
+    With ``restrict`` given, only those terms (typically the terms occurring
+    in the corpus) are search sources: a stored entry has at least one of them
+    as an end, and each of their rows is complete, its other ends ranging over
+    the whole graph.  The result is identical for any source order.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -329,39 +298,6 @@ def save_graph(graph: TermGraph, dest: str | Path | IO[str]) -> None:
                 fh.write(f"e\t{key[0]}\t{key[1]}\t{w:.17g}\n")
 
 
-def load_graph(source: str | Path | IO[str] | Iterable[str]) -> TermGraph:
-    path = _source_path(source)
-    lines = _iter_lines(source)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise ParseError("empty graph file", path) from None
-    if not header.startswith("#termgraph"):
-        raise ParseError("missing '#termgraph' header", path, 1)
-    kind = _header_fields(header, path).get("kind", "g1")
-    adj: dict[TermId, list[tuple[TermId, float]]] = {}
-    for lineno, line in enumerate(lines, start=2):
-        text = line.rstrip("\n")
-        if not text:
-            continue
-        parts = text.split("\t")
-        if parts[0] == "n" and len(parts) == 2:
-            adj.setdefault(parts[1], [])
-        elif parts[0] == "e" and len(parts) == 4:
-            a, b = parts[1], parts[2]
-            try:
-                w = float(parts[3])
-            except ValueError:
-                raise ParseError(f"edge weight {parts[3]!r} is not a number", path, lineno) from None
-            adj.setdefault(a, []).append((b, w))
-            adj.setdefault(b, []).append((a, w))
-        else:
-            raise ParseError("expected 'n<TAB>term' or 'e<TAB>a<TAB>b<TAB>w'", path, lineno)
-    frozen = {t: tuple(sorted(nbrs)) for t, nbrs in adj.items()}
-    unit = all(w == 1.0 for nbrs in frozen.values() for _n, w in nbrs)
-    return TermGraph(kind=kind, adj=frozen, unit_weights=unit if kind == "g1" else False)
-
-
 __all__ = [
     "UNREACHABLE",
     "TermGraph",
@@ -369,9 +305,6 @@ __all__ = [
     "build_unweighted_graph",
     "build_ic_weighted_graph",
     "single_source_distances",
-    "shortest_distance",
-    "distance_to_similarity",
     "similarity_matrix",
     "save_graph",
-    "load_graph",
 ]

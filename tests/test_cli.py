@@ -390,6 +390,41 @@ def test_cyclic_vocabulary_exits_nonzero(tmp_path):
     assert run("ic", "--vocab", vocab, "--out", tmp_path / "o.tsv") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ic"],
+        ["graph", "--graph", "dic"],
+        ["simmatrix", "--graph", "g1", "--lambda", "1"],
+        ["relate", "--method", "salton"],
+        ["bench", "--method", "mts", "--graph", "g1", "--lambda", "1", "--judgements"],
+        ["sweep", "--preset", "reference9", "--judgements"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cyclic_vocabulary_fails_every_command_naming_the_cycle(tmp_path, caplog, command):
+    # k is a parent of m, which starts the cycle m > n > o > m
+    (tmp_path / "vocab.jsonl").write_text(
+        "".join(
+            json.dumps({"id": tid, "label": tid, "parents": parents}) + "\n"
+            for tid, parents in [("k", []), ("m", ["k", "o"]), ("n", ["m"]), ("o", ["n"])]
+        )
+    )
+    terms = [{"term": tid, "major": True} for tid in "kmno"]
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps({"id": f"d{i}", "terms": terms}) + "\n" for i in range(4))
+    )
+    (tmp_path / "j.tsv").write_text("".join(f"q1\td{i}\t{i % 2}\n" for i in range(4)))
+    if command[-1] == "--judgements":
+        command = [*command, tmp_path / "j.tsv"]
+    assert run(
+        command[0], "--vocab", tmp_path / "vocab.jsonl", "--corpus", tmp_path / "corpus.jsonl",
+        *command[1:], "--out", tmp_path / "out.tsv",
+    ) == 1
+    assert "vocabulary has a parent cycle: m > n > o > m" in caplog.text
+    assert not (tmp_path / "out.tsv").exists()
+
+
 def test_lenient_corpus_parse(synth_files, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(

@@ -77,6 +77,31 @@ def test_convert_mesh_duplicate_ui(tmp_path):
         convert_mesh(io.StringIO(bad), tmp_path / "v.jsonl")
 
 
+@pytest.mark.parametrize(
+    "descriptors, qualifiers, bad_file",
+    [
+        (mesh_record(UI="D1"), None, "d.bin"),
+        (mesh_record(MH="A", UI="D1") + mesh_record(MH="B", UI="D1"), None, "d.bin"),
+        (mesh_record(MH="A", UI="D1", MN="C14") + mesh_record(MH="B", UI="D2", MN="C14"),
+         None, "d.bin"),
+        (mesh_record(MH="Floating", UI="D1", MN="C14.280.383"), None, "d.bin"),
+        (DESCRIPTORS, mesh_record(UI="Q1"), "q.bin"),
+        (DESCRIPTORS, QUALIFIERS + mesh_record(SH="again", UI="Q000188"), "q.bin"),
+    ],
+    ids=["descriptor-field", "descriptor-ui", "tree-number", "parent-prefix",
+         "qualifier-field", "qualifier-ui"],
+)
+def test_convert_mesh_errors_name_the_file(tmp_path, descriptors, qualifiers, bad_file):
+    (tmp_path / "d.bin").write_text(descriptors)
+    qualifier_path = None
+    if qualifiers is not None:
+        qualifier_path = tmp_path / "q.bin"
+        qualifier_path.write_text(qualifiers)
+    with pytest.raises(ParseError) as err:
+        convert_mesh(tmp_path / "d.bin", tmp_path / "v.jsonl", qualifier_path)
+    assert str(err.value).startswith(f"{tmp_path / bad_file}: ")
+
+
 def test_convert_mesh_empty_input_writes_header_only(tmp_path):
     out = tmp_path / "empty.jsonl"
     stats = convert_mesh(io.StringIO(""), out)

@@ -12,6 +12,7 @@ from vocabrel.model import (
     Document,
     Term,
     Vocabulary,
+    leaves_first,
     parse_corpus,
     parse_vocabulary,
     read_pairs,
@@ -156,6 +157,25 @@ def test_validate_flags_cycles():
     report = validate(Vocabulary(terms))
     assert not report.ok
     assert sorted(report.cycles[0]) == ["a", "b"]
+
+
+def test_leaves_first_puts_children_before_parents(diamond_vocab):
+    order, cycle = leaves_first(diamond_vocab)
+    assert cycle == []
+    assert sorted(order) == sorted(diamond_vocab.terms)
+    position = {tid: i for i, tid in enumerate(order)}
+    for term in diamond_vocab.terms.values():
+        for parent in term.parents:
+            assert position[term.id] < position[parent]
+
+
+def test_leaves_first_names_one_cycle_in_order():
+    # k is a parent of m, which starts the cycle m > n > o > m; d hangs below n
+    vocab = make_vocab({"k": set(), "m": {"k", "o"}, "n": {"m"}, "o": {"n"}, "d": {"n"}})
+    order, cycle = leaves_first(vocab)
+    assert order == ["d"]  # k lies above the cycle, so it cannot be ordered either
+    assert cycle == ["m", "n", "o"]
+    assert validate(vocab).cycles == [["m", "n", "o"]]
 
 
 def test_validate_clean_dag(diamond_vocab):

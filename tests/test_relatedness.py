@@ -19,7 +19,6 @@ from vocabrel.relatedness import (
     MethodConfig,
     Scorer,
     matrix_distance_fn,
-    matrix_sim_fn,
     mts,
     pairwise_scores,
     read_scores,
@@ -179,7 +178,7 @@ def test_symmetry_is_bitwise(seed):
     terms_b = sorted(y)
     p_a = make_doc("a", terms_a, majors=terms_a[:1])
     p_b = make_doc("b", terms_b, majors=terms_b[:1])
-    sim = matrix_sim_fn(matrix)
+    sim = matrix.sim
     assert mts(p_a, p_b, sim, w=3.0).value == mts(p_b, p_a, sim, w=3.0).value
 
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import random
@@ -6,16 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vocabrel.errors import ParseError
-from vocabrel.infocontent import load_ic_table, save_ic_table
+from vocabrel.infocontent import load_frequencies, load_ic_table, save_ic_table
+from vocabrel.model import read_pairs
 from vocabrel.termgraph import (
     UNREACHABLE,
     SimMatrix,
     build_ic_weighted_graph,
     build_unweighted_graph,
-    distance_to_similarity,
-    load_graph,
     save_graph,
-    shortest_distance,
     similarity_matrix,
     single_source_distances,
 )
@@ -30,26 +29,24 @@ def _dense_adj(graph):
 
 def test_unit_graph_distances(chain_vocab):
     graph = build_unweighted_graph(chain_vocab)
-    assert graph.unit_weights
-    assert shortest_distance(graph, "r", "g") == 2.0
-    assert shortest_distance(graph, "r", "r") == 0.0
-    assert distance_to_similarity(2.0, lam=4.0) == pytest.approx(
-        math.exp(-0.5), abs=1e-15
-    )
+    assert graph.kind == "g1"
+    assert single_source_distances(graph, "r") == {"r": 0.0, "c": 1.0, "g": 2.0}
+    matrix = similarity_matrix(graph, lam=4.0, eps=0.0)
+    assert matrix.sim("r", "g") == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_unreachable_distance_and_similarity():
     vocab = make_vocab({"a": set(), "b": set()})
     graph = build_unweighted_graph(vocab)
-    assert shortest_distance(graph, "a", "b") == UNREACHABLE
-    assert distance_to_similarity(UNREACHABLE, lam=1.0) == 0.0
+    assert single_source_distances(graph, "a").get("b", UNREACHABLE) == UNREACHABLE
+    assert similarity_matrix(graph, lam=1.0, eps=0.0).sim("a", "b") == 0.0
 
 
-def test_distance_to_similarity_rejects_bad_args():
-    with pytest.raises(ValueError):
-        distance_to_similarity(1.0, lam=0.0)
-    with pytest.raises(ValueError):
-        distance_to_similarity(-0.5, lam=1.0)
+def test_similarity_matrix_rejects_bad_args(chain_vocab):
+    graph = build_unweighted_graph(chain_vocab)
+    for lam, eps in ((0.0, 1e-4), (-1.0, 1e-4), (1.0, -0.1), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            similarity_matrix(graph, lam=lam, eps=eps)
 
 
 def test_ic_weighted_edge_weights(ic_fixture):
@@ -58,7 +55,7 @@ def test_ic_weighted_edge_weights(ic_fixture):
     weights = dict(graph.adj["r"])
     assert weights["c1"] == pytest.approx(abs(table.ic["r"] - table.ic["c1"]), abs=1e-15)
     assert weights["c1"] == pytest.approx(math.log(3), abs=1e-12)
-    assert not graph.unit_weights
+    assert graph.kind == "dic"
 
 
 def test_zero_weight_edges_are_legal():
@@ -66,7 +63,7 @@ def test_zero_weight_edges_are_legal():
     vocab = make_vocab({"r": set(), "c1": {"r"}})
     table = ic_for(vocab, {"r": 0, "c1": 5})
     graph = build_ic_weighted_graph(vocab, table)
-    assert shortest_distance(graph, "r", "c1") == 0.0
+    assert single_source_distances(graph, "r")["c1"] == 0.0
     matrix = similarity_matrix(graph, lam=1.0)
     assert matrix.sim("r", "c1") == 1.0
 
@@ -151,9 +148,17 @@ def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
         (SimMatrix.load, "#simmatrix graph=g1 lambda=1 eps=0.1 n=2\na\tb\tx\n", 2),
         (SimMatrix.load, "#simmatrix graph=g1 lambda\n", 1),
         (load_ic_table, "#ictable n=1 denominator=3\nt1\t3.5\t0.0\n", 2),
-        (load_graph, "#termgraph kind=dic n=2\nn\ta\nn\tb\ne\ta\tb\theavy\n", 4),
+        (
+            functools.partial(load_frequencies, vocab=make_vocab({"t1": set()})),
+            "# term count\nt1\t3\nt1\tmany\n",
+            3,
+        ),
+        (read_pairs, "d1\td2\nd1 d3\n", 2),
     ],
-    ids=["simmatrix-similarity", "simmatrix-header-field", "ic-aggregate", "graph-weight"],
+    ids=[
+        "simmatrix-similarity", "simmatrix-header-field", "ic-aggregate", "freq-count",
+        "pairs-columns",
+    ],
 )
 def test_loaders_report_path_and_line(tmp_path, loader, text, line):
     path = tmp_path / "artifact.tsv"
@@ -163,15 +168,24 @@ def test_loaders_report_path_and_line(tmp_path, loader, text, line):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
-def test_graph_round_trip(ic_fixture):
+def test_save_graph_text(ic_fixture):
     vocab, table = ic_fixture
     for graph in (build_unweighted_graph(vocab), build_ic_weighted_graph(vocab, table)):
         buf = io.StringIO()
         save_graph(graph, buf)
-        again = load_graph(io.StringIO(buf.getvalue()))
-        assert again.kind == graph.kind
-        assert again.unit_weights == graph.unit_weights
-        assert _dense_adj(again) == _dense_adj(graph)
+        header, *lines = buf.getvalue().splitlines()
+        assert header == f"#termgraph kind={graph.kind} n={len(graph)}"
+        nodes = [line.split("\t")[1] for line in lines if line.startswith("n\t")]
+        assert nodes == sorted(graph.adj)
+        edges = {}
+        for line in lines[len(nodes) :]:
+            tag, a, b, weight = line.split("\t")
+            assert tag == "e" and a < b and (a, b) not in edges
+            edges[(a, b)] = float(weight)  # %.17g: bit-exact
+        expected = {
+            (min(a, b), max(a, b)): w for a, nbrs in graph.adj.items() for b, w in nbrs
+        }
+        assert edges == expected and len(edges) == graph.edge_count()
 
 
 def _random_graphs(seed):
@@ -222,11 +236,14 @@ def test_pruned_matrix_equals_unpruned(seed, lam, eps):
 
 
 def test_similarity_monotonicity():
-    # antitone in distance, isotone in lambda
-    for lam in (0.5, 1.0, 3.0):
-        sims = [distance_to_similarity(d, lam) for d in (0.0, 0.5, 1.0, 2.0, 10.0)]
+    # antitone in distance, isotone in lambda: t0 - t1 - ... - t5 is a chain
+    parents = {f"t{i}": {f"t{i - 1}"} if i else set() for i in range(6)}
+    chain = build_unweighted_graph(make_vocab(parents))
+    matrices = {lam: similarity_matrix(chain, lam=lam, eps=0.0) for lam in (0.25, 1.0, 2.0, 8.0)}
+    for matrix in matrices.values():
+        sims = [matrix.sim("t0", f"t{i}") for i in range(6)]
         assert sims == sorted(sims, reverse=True)
         assert sims[0] == 1.0
-    for d in (0.5, 1.0, 7.0):
-        sims = [distance_to_similarity(d, lam) for lam in (0.25, 1.0, 2.0, 8.0)]
+    for i in (1, 2, 5):
+        sims = [matrices[lam].sim("t0", f"t{i}") for lam in sorted(matrices)]
         assert sims == sorted(sims)
