@@ -12,7 +12,8 @@ The commands run in this process through ``vocabrel.cli.main``, in order,
 from OUT_DIR as the working directory, so outputs that name another output
 (``stats`` names its score file) read the same whatever OUT_DIR is.  The pair
 list for ``relate --pairs`` (every corpus pair, larger id first) and the
-``--cache`` directory go to ``OUT_DIR/work``.  Standard output gets one
+``--cache`` directory go to ``OUT_DIR/work``; after two ``sweep`` runs fill
+and read the cache, ``relate --pairs`` and ``simmatrix`` read it too.  Standard output gets one
 ``sha256  name`` line per output file, manifests excepted, since they record
 elapsed time.
 
@@ -43,6 +44,7 @@ RELATE_CONFIGS = {
     "mts-rawdist-dic-w2": ["--method", "mts-rawdist", "--graph", "dic", "--w", "2",
                            "--lambda", "2"],
 }
+# also the two configurations perfbench's ref9 workload times with relate --pairs over its cache
 BENCH_CONFIGS = ("soft-ic-dic-w3", "mts-g1-w16")
 
 
@@ -63,6 +65,10 @@ def commands(world: Path) -> list[list[str]]:
         ["sweep", *judged, *REFERENCE9, "--out", "sweep-ref9.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-fill.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-cached.csv"],
+        *(["relate", *inputs, *RELATE_CONFIGS[name], *cache, *pairs,
+           "--out", f"relate-{name}-pairs-cached.tsv"] for name in BENCH_CONFIGS),
+        *(["simmatrix", *inputs, "--graph", graph, "--lambda", "1", *cache,
+           "--out", f"simmatrix-{graph}-l1-cached.tsv"] for graph in ("g1", "dic")),
         ["sweep", *judged, "--methods", "mts,mts-rawdist", "--graphs", "g1,dic",
          "--slim-list", "true,false", "--out", "sweep-mts.csv"],
     ]

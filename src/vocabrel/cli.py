@@ -22,6 +22,7 @@ matrices keyed by input digests and parameters for reuse across commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -54,6 +55,7 @@ from .mesh import convert_mesh
 from .model import (
     Corpus,
     Vocabulary,
+    _file_sha256,
     parse_corpus,
     parse_vocabulary,
     read_pairs,
@@ -82,14 +84,6 @@ _INPUT_ARGS = (
 _OUTPUT_ARGS = ("out", "dump_dist")
 
 
-def _sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
@@ -107,29 +101,20 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
         "command": args.command,
         "version": __version__,
         "parameters": parameters,
-        "inputs": {p: _sha256(p) for p in sorted(i for i in inputs if isinstance(i, str))},
-        "outputs": {p: _sha256(p) for p in outputs if p},
+        "inputs": {p: _file_sha256(p) for p in sorted(i for i in inputs if isinstance(i, str))},
+        "outputs": {p: _file_sha256(p) for p in outputs if p},
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     }
     path = Path(f"{args.out}.manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _save_atomically(save, artifact, path: Path) -> None:
-    """Write through a temporary file in the same directory, then move it into place."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        save(artifact, tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 class Workspace(ArtifactSet):
     """ArtifactSet that checks the file cache before building anything.
 
     Cache files are named by a digest of the inputs and parameters.  A file
-    that fails to load (cut short, edited) is reported and rebuilt.
+    that fails to load (cut short, edited) or that describes another request
+    is reported and rebuilt.
     """
 
     def __init__(
@@ -147,51 +132,55 @@ class Workspace(ArtifactSet):
             self._cache.mkdir(parents=True, exist_ok=True)
         self._tokens = tokens
 
-    def _cache_path(self, kind: str, *parts: str) -> Path:
+    def _load_or_build(self, label: str, parts: list[str], load, fits, build, save):
+        """The artifact cached under ``parts`` if it loads and ``fits``, else ``build()`` saved there."""
         assert self._cache is not None
-        return self._cache / f"{kind}-{_digest(kind, *parts)[:24]}.tsv"
-
-    def ic_table(self):
-        if self._ic is not None or self._cache is None:
-            return super().ic_table()
-        path = self._cache_path("ic", self._tokens["vocab"], self._tokens["freqsrc"])
+        path = self._cache / f"{parts[0]}-{_digest(*parts)[:24]}.tsv"
         if path.exists():
             try:
-                self._ic = load_ic_table(path)
-                log.info("cache hit: IC table %s", path.name)
-                return self._ic
+                artifact = load(path)
             except (ParseError, UnicodeDecodeError) as exc:
-                log.warning("cached IC table unreadable, rebuilding: %s", exc)
-        table = super().ic_table()
-        _save_atomically(save_ic_table, table, path)
-        return table
+                log.warning("cached %s unreadable, rebuilding: %s", label, exc)
+            else:
+                # digest collisions are hypothetical, a file copied under another name is not
+                if fits(artifact):
+                    log.info("cache hit: %s %s", label, path.name)
+                    return artifact
+                log.warning("cached %s %s does not match the request, rebuilding", label, path.name)
+        artifact = build()
+        # write a temporary file, then move it into place: no reader sees a half-written file
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            save(artifact, tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return artifact
+
+    def ic_table(self):
+        if self._ic is None and self._cache is not None:
+            self._ic = self._load_or_build(
+                "IC table", ["ic", self._tokens["vocab"], self._tokens["freqsrc"]],
+                load_ic_table, lambda table: table.ic.keys() == self.vocab.terms.keys(),
+                super().ic_table, save_ic_table,
+            )
+        return super().ic_table()
 
     def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
         if eps is None:
             eps = self.eps
-        if (kind, lam, eps) in self._matrices or self._cache is None:
-            return super().matrix(kind, lam, eps)
-        parts = [
-            kind, f"{lam:.17g}", f"{eps:.17g}", self._tokens["vocab"], self._tokens["restrict"],
-        ]
-        if kind == "dic":
-            parts.append(self._tokens["freqsrc"])
-        path = self._cache_path("simmatrix", *parts)
-        if path.exists():
-            try:
-                matrix = SimMatrix.load(path)
-            except (ParseError, UnicodeDecodeError) as exc:
-                log.warning("cached similarity matrix unreadable, rebuilding: %s", exc)
-            else:
-                # digest collisions are hypothetical, header mismatches are not
-                if (matrix.kind, matrix.lam, matrix.eps) == (kind, lam, eps):
-                    log.info("cache hit: similarity matrix %s", path.name)
-                    self._matrices[(kind, lam, eps)] = matrix
-                    return matrix
-                log.warning("cached matrix %s does not match config, rebuilding", path.name)
-        matrix = super().matrix(kind, lam, eps)
-        _save_atomically(SimMatrix.save, matrix, path)
-        return matrix
+        key = (kind, lam, eps)
+        if key not in self._matrices and self._cache is not None:
+            tokens = self._tokens
+            parts = ["simmatrix", kind, f"{lam:.17g}", f"{eps:.17g}", tokens["vocab"], tokens["restrict"]]
+            if kind == "dic":
+                parts.append(tokens["freqsrc"])
+            self._matrices[key] = self._load_or_build(
+                "similarity matrix", parts,
+                SimMatrix.load, lambda matrix: (matrix.kind, matrix.lam, matrix.eps) == key,
+                functools.partial(super().matrix, kind, lam, eps), SimMatrix.save,
+            )
+        return super().matrix(kind, lam, eps)
 
 
 def _workspace(args: argparse.Namespace) -> Workspace:
@@ -199,7 +188,7 @@ def _workspace(args: argparse.Namespace) -> Workspace:
     report = validate(vocab)
     if not report.ok:
         raise CycleError(report.cycles[0])
-    tokens = {"vocab": _sha256(args.vocab)}
+    tokens = {"vocab": _file_sha256(args.vocab)}
     corpus = None
     corpus_path = getattr(args, "corpus", None)
     if corpus_path:
@@ -213,11 +202,11 @@ def _workspace(args: argparse.Namespace) -> Workspace:
         empties = stats.get("empty_documents") or []
         if empties:
             log.warning("%d documents have no annotations, e.g. %s", len(empties), empties[0])
-        tokens["corpus"] = _sha256(corpus_path)
+        tokens["corpus"] = _file_sha256(corpus_path)
     freq = None
     if getattr(args, "freq_table", None):
         freq = load_frequencies(args.freq_table, vocab, strict=args.strict)
-        tokens["freqsrc"] = "freqfile:" + _sha256(args.freq_table)
+        tokens["freqsrc"] = "freqfile:" + _file_sha256(args.freq_table)
     elif corpus is not None:
         tokens["freqsrc"] = f"corpus:{tokens['corpus']}:strict={int(args.strict)}"
     else:

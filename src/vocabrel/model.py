@@ -18,6 +18,7 @@ report them) but are rejected by downstream consumers.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,7 @@ class Vocabulary:
         self._terms: dict[TermId, Term] = dict(terms)
         self._qualifiers = frozenset(qualifiers)
         self._children: dict[TermId, tuple[TermId, ...]] | None = None
+        self._order: tuple[list[TermId], list[TermId]] | None = None  # see leaves_first
 
     @property
     def terms(self) -> Mapping[TermId, Term]:
@@ -160,6 +162,17 @@ def _open_out(dest: str | Path | IO[str]):
             yield fh
     else:
         yield dest
+
+
+def _file_sha256(path: str | Path, skip_header: bool = False) -> str:
+    """SHA-256 of a file's bytes, after its first line if ``skip_header``; read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        if skip_header:
+            fh.readline()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _header_fields(header: str, path: str | None) -> dict[str, str]:
@@ -292,9 +305,11 @@ def parse_corpus(
             raise ParseError("'terms' must be a list", path, lineno)
         annotations = pending.setdefault(doc_id, [])
         for entry in entries:
-            if not isinstance(entry, dict) or "term" not in entry:
-                raise ParseError(f"document {doc_id!r}: malformed term entry", path, lineno)
-            tid = entry["term"]
+            if not isinstance(entry, dict) or not isinstance(entry.get("term"), str):
+                raise ParseError(f"document {doc_id!r}: term entry lacks a string 'term'", path, lineno)
+            tid, major = entry["term"], entry.get("major", False)
+            if not isinstance(major, bool):
+                raise ParseError(f"document {doc_id!r}: 'major' must be true or false", path, lineno)
             if tid not in vocab:
                 if strict:
                     raise ParseError(
@@ -303,8 +318,8 @@ def parse_corpus(
                 skipped_terms += 1
                 continue
             quals = entry.get("qualifiers", [])
-            if not isinstance(quals, list):
-                raise ParseError(f"document {doc_id!r}: 'qualifiers' must be a list", path, lineno)
+            if not isinstance(quals, list) or not all(isinstance(q, str) for q in quals):
+                raise ParseError(f"document {doc_id!r}: 'qualifiers' must list strings", path, lineno)
             kept_quals = []
             for q in quals:
                 if q not in vocab.qualifiers:
@@ -315,13 +330,7 @@ def parse_corpus(
                     skipped_quals += 1
                     continue
                 kept_quals.append(q)
-            annotations.append(
-                Annotation(
-                    term=tid,
-                    is_major=bool(entry.get("major", False)),
-                    qualifiers=frozenset(kept_quals),
-                )
-            )
+            annotations.append(Annotation(term=tid, is_major=major, qualifiers=frozenset(kept_quals)))
     documents = {
         doc_id: Document(id=doc_id, annotations=_merge_annotations(raw))
         for doc_id, raw in pending.items()
@@ -355,11 +364,19 @@ def serialize_corpus(
 def leaves_first(vocab: Vocabulary) -> tuple[list[TermId], list[TermId]]:
     """Every term after all of its children, and one parent cycle (empty if none).
 
-    Kahn's algorithm over child counts.  When the parent relation is cyclic
-    some terms are left unordered, each with an unordered child; the cycle is
-    found by walking from the smallest of them to its smallest unordered child
-    until a term repeats.  Each term of the cycle is a parent of the next.
+    Kahn's algorithm over child counts, run once per vocabulary (which is
+    immutable): later calls return the same lists, which must not be modified.
+    When the parent relation is cyclic some terms are left unordered, each
+    with an unordered child; the cycle is found by walking from the smallest
+    of them to its smallest unordered child until a term repeats.  Each term
+    of the cycle is a parent of the next.
     """
+    if vocab._order is None:
+        vocab._order = _kahn(vocab)
+    return vocab._order
+
+
+def _kahn(vocab: Vocabulary) -> tuple[list[TermId], list[TermId]]:
     remaining = {t: len(vocab.children_of(t)) for t in vocab.terms}
     ready = sorted(t for t, n in remaining.items() if n == 0)
     order: list[TermId] = []
@@ -391,7 +408,7 @@ def validate(vocab: Vocabulary) -> ValidationReport:
         n_terms=len(vocab),
         n_edges=vocab.edge_count(),
         n_qualifiers=len(vocab.qualifiers),
-        cycles=[cycle] if cycle else [],
+        cycles=[list(cycle)] if cycle else [],
     )
 
 

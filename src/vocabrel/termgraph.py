@@ -24,7 +24,7 @@ from typing import IO, Callable, Iterable, Mapping
 
 from .errors import MissingDataError, ParseError
 from .infocontent import ICTable
-from .model import TermId, Vocabulary, _header_fields, _iter_lines, _open_out, _source_path
+from .model import TermId, Vocabulary, _file_sha256, _header_fields, _iter_lines, _open_out, _source_path
 
 UNREACHABLE = math.inf
 
@@ -189,7 +189,7 @@ class SimMatrix:
 
     @classmethod
     def load(cls, source: str | Path | IO[str] | Iterable[str]) -> "SimMatrix":
-        """Read the TSV form, checking ``entries`` and ``sha256`` when the header has them."""
+        """Read the TSV form; the header's ``entries`` and ``sha256`` are required and checked."""
         path = _source_path(source)
         lines = _iter_lines(source)
         try:
@@ -204,18 +204,17 @@ class SimMatrix:
             lam = float(fields["lambda"])
             eps = float(fields["eps"])
             n = int(fields.get("n", 0))
-            declared = int(fields["entries"]) if "entries" in fields else None
+            declared = int(fields["entries"])
+            digest = fields["sha256"]
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad header field: {exc}", path, 1) from exc
-        digest = fields.get("sha256")
-        if digest is not None:
-            if path is None:
-                lines = list(lines)
-                actual = hashlib.sha256("".join(lines).encode()).hexdigest()
-            else:
-                actual = _body_sha256(path)
-            if actual != digest:
-                raise ParseError("content does not match the header's sha256", path)
+        if path is None:
+            lines = list(lines)
+            actual = hashlib.sha256("".join(lines).encode()).hexdigest()
+        else:
+            actual = _file_sha256(path, skip_header=True)
+        if actual != digest:
+            raise ParseError("content does not match the header's sha256", path)
         entries: dict[tuple[TermId, TermId], float] = {}
         for lineno, line in enumerate(lines, start=2):
             text = line.rstrip("\n")
@@ -231,19 +230,9 @@ class SimMatrix:
                 entries[(a, b)] = float(raw)
             except ValueError:
                 raise ParseError(f"similarity {raw!r} is not a number", path, lineno) from None
-        if declared is not None and declared != len(entries):
+        if declared != len(entries):
             raise ParseError(f"header declares {declared} entries, file holds {len(entries)}", path)
         return cls(kind=kind, lam=lam, eps=eps, n=n, entries=entries)
-
-
-def _body_sha256(path: str) -> str:
-    """SHA-256 of a file's bytes after its first line, read in blocks to bound memory."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        fh.readline()
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def similarity_matrix(

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from vocabrel import model
 from vocabrel.cli import main, reference_configs, sweep_configs
 from vocabrel.model import parse_vocabulary
 
@@ -274,6 +276,105 @@ def test_truncated_matrix_cache_is_rebuilt(synth_files, tmp_path, caplog):
     assert not list(cache.glob("*.tmp"))  # the atomic writes left no temporary files
 
 
+def _soft_bench(synth_files, cache, *config):
+    return (
+        "bench", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        "--judgements", synth_files["judgements"], "--method", "soft", "--vector", "ic",
+        "--w", "3", "--iterations", "5", "--cache", cache, *config,
+    )
+
+
+def test_store_without_integrity_fields_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    args = _soft_bench(synth_files, cache, "--graph", "g1", "--lambda", "1")
+    fresh, after_edit = tmp_path / "fresh.csv", tmp_path / "after-edit.csv"
+    assert run(*args, "--out", fresh) == 0
+    [store] = cache.glob("simmatrix-*.tsv")
+    text = store.read_text()
+    header, body = text.split("\n", 1)
+    header = re.sub(r" (entries|sha256)=\S+", "", header)
+    lines = body.splitlines(keepends=True)
+    # a store as written before the header carried its entry count and digest, cut short
+    store.write_text(header + "\n" + "".join(lines[: len(lines) // 2]))
+    caplog.clear()
+    assert run(*args, "--out", after_edit) == 0
+    assert "cached similarity matrix unreadable, rebuilding" in caplog.text
+    assert "cache hit: similarity matrix" not in caplog.text
+    assert store.read_text() == text  # rewritten with both fields
+    assert after_edit.read_bytes() == fresh.read_bytes()
+
+
+def test_truncated_ic_cache_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    args = (
+        "bench", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        "--judgements", synth_files["judgements"],
+        "--method", "salton", "--vector", "ic", "--w", "2", "--iterations", "5", "--cache", cache,
+    )
+    fresh, after_cut = tmp_path / "fresh.csv", tmp_path / "after-cut.csv"
+    assert run(*args, "--out", fresh) == 0
+    [ic_file] = cache.glob("ic-*.tsv")
+    data = ic_file.read_bytes()
+    ic_file.write_bytes(data[: len(data) // 2])
+    caplog.clear()
+    assert run(*args, "--out", after_cut) == 0
+    assert "cached IC table unreadable, rebuilding" in caplog.text
+    assert ic_file.read_bytes() == data
+    assert after_cut.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config", [("--graph", "dic", "--lambda", "1"), ("--graph", "g1", "--lambda", "2")],
+    ids=["other-graph", "other-lambda"],
+)
+def test_store_copied_under_another_cache_name_is_rebuilt(synth_files, tmp_path, caplog, config):
+    cache = tmp_path / "cache"
+    source = _soft_bench(synth_files, cache, "--graph", "g1", "--lambda", "1")
+    target = _soft_bench(synth_files, cache, *config)
+    fresh, after_copy = tmp_path / "fresh.csv", tmp_path / "after-copy.csv"
+    assert run(*source, "--out", tmp_path / "source.csv") == 0
+    [source_store] = cache.glob("simmatrix-*.tsv")
+    assert run(*target, "--out", fresh) == 0
+    [target_store] = set(cache.glob("simmatrix-*.tsv")) - {source_store}
+    data = target_store.read_bytes()
+    shutil.copyfile(source_store, target_store)
+    caplog.clear()
+    assert run(*target, "--out", after_copy) == 0
+    assert target_store.name in caplog.text and "rebuilding" in caplog.text
+    assert target_store.read_bytes() == data
+    assert after_copy.read_bytes() == fresh.read_bytes()
+
+
+def test_ic_table_cached_for_another_vocabulary_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    (tmp_path / "vocab.jsonl").write_text('{"id": "t1", "label": "t1", "parents": []}\n')
+    (tmp_path / "corpus.jsonl").write_text('{"id": "d1", "terms": [{"term": "t1"}]}\n')
+    other = ("ic", "--vocab", tmp_path / "vocab.jsonl", "--corpus", tmp_path / "corpus.jsonl")
+    args = ("ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"])
+    assert run(*other, "--cache", cache, "--out", tmp_path / "other.tsv") == 0
+    [other_table] = cache.glob("ic-*.tsv")
+    assert run(*args, "--cache", cache, "--out", tmp_path / "fresh.tsv") == 0
+    [table] = set(cache.glob("ic-*.tsv")) - {other_table}
+    data = table.read_bytes()
+    shutil.copyfile(other_table, table)
+    caplog.clear()
+    assert run(*args, "--cache", cache, "--out", tmp_path / "after-copy.tsv") == 0
+    assert table.name in caplog.text and "rebuilding" in caplog.text
+    assert table.read_bytes() == data
+    assert (tmp_path / "after-copy.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
+
+
+def test_ic_orders_the_vocabulary_once(synth_files, tmp_path, monkeypatch):
+    passes = []
+    kahn = model._kahn
+    monkeypatch.setattr(model, "_kahn", lambda vocab: passes.append(vocab) or kahn(vocab))
+    assert run(
+        "ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+        "--out", tmp_path / "ic.tsv",
+    ) == 0
+    assert len(passes) == 1
+
+
 def test_bench_same_seed_same_bytes(synth_files, tmp_path):
     hashes = []
     for name in ("a", "b"):
@@ -423,6 +524,33 @@ def test_cyclic_vocabulary_fails_every_command_naming_the_cycle(tmp_path, caplog
     ) == 1
     assert "vocabulary has a parent cycle: m > n > o > m" in caplog.text
     assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"term": ["t1"], "major": True}, {"term": "t1", "major": True, "qualifiers": [["q"]]}],
+    ids=["term-list", "qualifier-list"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["relate", "--method", "salton"], ["bench", "--method", "salton", "--judgements"],
+     ["sweep", "--judgements"]],
+    ids=lambda command: command[0],
+)
+def test_mistyped_corpus_ids_fail_with_path_and_line(tmp_path, caplog, entry, command):
+    (tmp_path / "vocab.jsonl").write_text(
+        '{"id": "t1", "label": "t1", "parents": []}\n{"id": "q", "kind": "qualifier"}\n'
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "d1", "terms": [entry]}) + "\n")
+    (tmp_path / "j.tsv").write_text("q1\td1\t1\n")
+    if command[-1] == "--judgements":
+        command = [*command, tmp_path / "j.tsv"]
+    assert run(
+        command[0], "--vocab", tmp_path / "vocab.jsonl", "--corpus", corpus, *command[1:],
+        "--out", tmp_path / "out.tsv",
+    ) == 1
+    assert f"{corpus}:1: document 'd1': " in caplog.text
 
 
 def test_lenient_corpus_parse(synth_files, tmp_path):

@@ -127,6 +127,28 @@ def test_parse_corpus_strict_vs_lenient(small_vocab):
     assert stats["skipped_terms"] == 1
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"term": "t1", "major": "false"}, "'major' must be true or false"),
+        ({"term": "t1", "major": 1}, "'major' must be true or false"),
+        ({"term": ["t1"], "major": True}, "term entry lacks a string 'term'"),
+        ({"term": "t1", "qualifiers": [["Q1"]]}, "'qualifiers' must list strings"),
+    ],
+    ids=["major-string", "major-int", "term-list", "qualifier-list"],
+)
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_parse_corpus_rejects_mistyped_entries(tmp_path, small_vocab, entry, message, strict):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        json.dumps({"id": "d1", "terms": [{"term": "t2", "major": True}]}) + "\n"
+        + json.dumps({"id": "d2", "terms": [entry]}) + "\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_corpus(path, small_vocab, strict=strict)
+    assert str(err.value) == f"{path}:2: document 'd2': {message}"
+
+
 def test_corpus_round_trip(small_vocab):
     corpus = make_corpus(
         make_doc("d1", ["t1", "t2"], majors=["t2"], qualifiers={"t1": ["Q1"]}),

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import math
 import random
@@ -21,6 +22,9 @@ from vocabrel.termgraph import (
 
 import oracles
 from util import ic_for, make_vocab
+
+
+BAD_SIM_BODY = "a\tb\tx\n"  # one entry whose similarity is not a number
 
 
 def _dense_adj(graph):
@@ -129,6 +133,21 @@ def test_simmatrix_cut_anywhere_fails_to_load(diamond_vocab):
             SimMatrix.load(io.StringIO(text[:cut]))
 
 
+@pytest.mark.parametrize("field", ["entries", "sha256"])
+@pytest.mark.parametrize("as_file", [False, True], ids=["stream", "file"])
+def test_simmatrix_without_an_integrity_field_fails_to_load(diamond_vocab, tmp_path, field, as_file):
+    buf = io.StringIO()
+    similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01).save(buf)
+    header, body = buf.getvalue().split("\n", 1)
+    header = " ".join(part for part in header.split() if not part.startswith(f"{field}="))
+    source = io.StringIO(f"{header}\n{body}")
+    if as_file:
+        source = tmp_path / "store.tsv"
+        source.write_text(f"{header}\n{body}")
+    with pytest.raises(ParseError, match=f"bad header field: '{field}'"):
+        SimMatrix.load(source)
+
+
 def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
     _, table = ic_fixture
     buf = io.StringIO()
@@ -145,7 +164,12 @@ def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
 @pytest.mark.parametrize(
     "loader, text, line",
     [
-        (SimMatrix.load, "#simmatrix graph=g1 lambda=1 eps=0.1 n=2\na\tb\tx\n", 2),
+        (
+            SimMatrix.load,
+            "#simmatrix graph=g1 lambda=1 entries=1 sha256="
+            f"{hashlib.sha256(BAD_SIM_BODY.encode()).hexdigest()} eps=0.1 n=2\n{BAD_SIM_BODY}",
+            2,
+        ),
         (SimMatrix.load, "#simmatrix graph=g1 lambda\n", 1),
         (load_ic_table, "#ictable n=1 denominator=3\nt1\t3.5\t0.0\n", 2),
         (
