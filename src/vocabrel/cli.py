@@ -132,14 +132,14 @@ class Workspace(ArtifactSet):
             self._cache.mkdir(parents=True, exist_ok=True)
         self._tokens = tokens
 
-    def _load_or_build(self, label: str, parts: list[str], load, fits, build, save):
+    def _load_or_build(self, label: str, parts: list[str], suffix: str, load, fits, build, save):
         """The artifact cached under ``parts`` if it loads and ``fits``, else ``build()`` saved there."""
         assert self._cache is not None
-        path = self._cache / f"{parts[0]}-{_digest(*parts)[:24]}.tsv"
+        path = self._cache / f"{parts[0]}-{_digest(*parts)[:24]}{suffix}"
         if path.exists():
             try:
                 artifact = load(path)
-            except (ParseError, UnicodeDecodeError) as exc:
+            except ParseError as exc:
                 log.warning("cached %s unreadable, rebuilding: %s", label, exc)
             else:
                 # digest collisions are hypothetical, a file copied under another name is not
@@ -160,7 +160,7 @@ class Workspace(ArtifactSet):
     def ic_table(self):
         if self._ic is None and self._cache is not None:
             self._ic = self._load_or_build(
-                "IC table", ["ic", self._tokens["vocab"], self._tokens["freqsrc"]],
+                "IC table", ["ic", self._tokens["vocab"], self._tokens["freqsrc"]], ".tsv",
                 load_ic_table, lambda table: table.ic.keys() == self.vocab.terms.keys(),
                 super().ic_table, save_ic_table,
             )
@@ -176,7 +176,7 @@ class Workspace(ArtifactSet):
             if kind == "dic":
                 parts.append(tokens["freqsrc"])
             self._matrices[key] = self._load_or_build(
-                "similarity matrix", parts,
+                "similarity matrix", parts, ".npz",
                 SimMatrix.load, lambda matrix: (matrix.kind, matrix.lam, matrix.eps) == key,
                 functools.partial(super().matrix, kind, lam, eps), SimMatrix.save,
             )
@@ -284,7 +284,7 @@ def cmd_simmatrix(args: argparse.Namespace) -> None:
         raise ConfigError(f"simmatrix needs --lambda > 0, got {args.lam}")
     ws = _workspace(args)
     matrix = ws.matrix(args.graph, args.lam)
-    matrix.save(args.out)
+    matrix.export(args.out)
     log.info(
         "wrote similarity matrix (%s, lambda=%g, eps=%g): %d stored entries -> %s",
         matrix.kind, matrix.lam, matrix.eps, len(matrix), args.out,

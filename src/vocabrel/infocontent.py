@@ -55,6 +55,7 @@ def load_frequencies(
     """Read an external ``term_id<TAB>count`` table (e.g. from a larger corpus)."""
     path = _source_path(source)
     counts = {t: 0 for t in vocab.terms}
+    listed: set[TermId] = set()
     for lineno, line in enumerate(_iter_lines(source), start=1):
         text = line.rstrip("\n")
         if not text.strip() or text.startswith("#"):
@@ -73,6 +74,9 @@ def load_frequencies(
             if strict:
                 raise ParseError(f"unknown term {tid!r}", path, lineno)
             continue
+        if tid in listed:
+            raise ParseError(f"term {tid!r} listed twice", path, lineno)
+        listed.add(tid)
         counts[tid] = count
     return FreqTable(counts=counts, total_docs=None)
 

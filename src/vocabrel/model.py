@@ -146,7 +146,10 @@ class ValidationReport:
 def _iter_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            yield from fh
+            try:
+                yield from fh
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text ({exc.reason})", str(source)) from exc
     else:
         yield from source
 
@@ -156,20 +159,18 @@ def _source_path(source) -> str | None:
 
 
 @contextlib.contextmanager
-def _open_out(dest: str | Path | IO[str]):
+def _open_out(dest: str | Path | IO, binary: bool = False):
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
+        with open(dest, "wb") if binary else open(dest, "w", encoding="utf-8") as fh:
             yield fh
     else:
         yield dest
 
 
-def _file_sha256(path: str | Path, skip_header: bool = False) -> str:
-    """SHA-256 of a file's bytes, after its first line if ``skip_header``; read in blocks."""
+def _file_sha256(path: str | Path) -> str:
+    """SHA-256 of a file's bytes, read in blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        if skip_header:
-            fh.readline()
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()

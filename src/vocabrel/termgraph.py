@@ -11,20 +11,30 @@ Materializing all-pairs similarity over a 30k-term vocabulary is infeasible
 Searches prune their frontier with the same ``exp(-d/lam) > eps`` predicate
 used for storage: cost is nondecreasing along the search, so no qualifying
 entry is lost and the pruned result equals the unpruned one.
+
+``SimMatrix.save``/``load`` keep a store as ``.npz`` arrays for the cache,
+checked against the entry count and SHA-256 in their header; ``export``
+writes the sorted TSV form that the ``simmatrix`` command gives.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-from dataclasses import dataclass
+import zipfile
+from collections import defaultdict
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain, count
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
+import numpy as np
+
 from .errors import MissingDataError, ParseError
 from .infocontent import ICTable
-from .model import TermId, Vocabulary, _file_sha256, _header_fields, _iter_lines, _open_out, _source_path
+from .model import TermId, Vocabulary, _open_out, _source_path
 
 UNREACHABLE = math.inf
 
@@ -121,118 +131,101 @@ def _dijkstra(graph, source, keep):
     return dist
 
 
+@dataclass(frozen=True)
 class SimMatrix:
     """Sparse symmetric term-similarity matrix with an implicit unit diagonal.
 
-    Off-diagonal entries are stored only when strictly above the cutoff
-    ``eps``; everything else reads as 0.
+    ``entries`` maps a term pair ``(a, b)`` with ``a < b`` to its similarity,
+    and is held as given, not copied.  Off-diagonal entries are stored only
+    when strictly above the cutoff ``eps``; everything else reads as 0.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        lam: float,
-        eps: float,
-        n: int,
-        entries: Mapping[tuple[TermId, TermId], float],
-    ):
-        self.kind = kind
-        self.lam = lam
-        self.eps = eps
-        self.n = n
-        self._entries = dict(entries)
+    kind: str  # the graph: "g1" or "dic"
+    lam: float
+    eps: float
+    n: int  # terms in the graph
+    entries: Mapping[tuple[TermId, TermId], float] = field(repr=False)
 
     def sim(self, a: TermId, b: TermId) -> float:
         if a == b:
             return 1.0
         key = (a, b) if a < b else (b, a)
-        return self._entries.get(key, 0.0)
-
-    @property
-    def entries(self) -> Mapping[tuple[TermId, TermId], float]:
-        return self._entries
+        return self.entries.get(key, 0.0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimMatrix):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.lam == other.lam
-            and self.eps == other.eps
-            and self.n == other.n
-            and self._entries == other._entries
-        )
-
-    def save(self, dest: str | Path | IO[str]) -> None:
-        """Write the TSV form; the header carries the entry count and body digest.
-
-        The integrity fields come before the required ``eps`` field, so a file
-        cut anywhere, even inside its header, fails ``load`` instead of
-        reading as fewer entries.
-        """
-        items = sorted(self._entries.items())
-        digest = hashlib.sha256()
-        chunks = []  # joined 4096 lines at a time: a list of every line would triple the memory
-        for start in range(0, len(items), 4096):
-            chunk = "".join(f"{a}\t{b}\t{s:.17g}\n" for (a, b), s in items[start : start + 4096])
-            digest.update(chunk.encode())
-            chunks.append(chunk)
-        with _open_out(dest) as fh:
-            fh.write(
-                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(items)} "
-                f"sha256={digest.hexdigest()} eps={self.eps:.17g} n={self.n}\n"
-            )
-            fh.writelines(chunks)
+    def save(self, dest: str | Path | IO[bytes]) -> None:
+        """Write the ``.npz`` cache form: the arrays, and a header with their count and digest."""
+        index = defaultdict(count().__next__)  # numbers each term id when first seen
+        n_entries = len(self.entries)
+        flat = chain.from_iterable(self.entries)  # a1, b1, a2, b2, ...
+        ends = np.fromiter(map(index.__getitem__, flat), np.int32, 2 * n_entries)
+        if any(t.endswith("\0") for t in index):
+            raise ValueError("a term id ending in NUL cannot be stored")  # numpy strips it
+        ids = np.array(list(index), dtype=str)
+        order = np.argsort(ids)
+        rank = np.empty(len(ids), np.int32)
+        rank[order] = np.arange(len(ids))  # first-seen number -> position among the sorted ids
+        arrays = {"terms": ids[order], "a": rank[ends[0::2]], "b": rank[ends[1::2]],
+                  "sim": np.fromiter(self.entries.values(), np.float64, n_entries)}
+        header = {"graph": self.kind, "lambda": self.lam, "eps": self.eps, "n": self.n,
+                  "entries": n_entries, "sha256": _arrays_sha256(arrays)}
+        with _open_out(dest, binary=True) as fh:
+            np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
     @classmethod
-    def load(cls, source: str | Path | IO[str] | Iterable[str]) -> "SimMatrix":
-        """Read the TSV form; the header's ``entries`` and ``sha256`` are required and checked."""
+    def load(cls, source: str | Path | IO[bytes]) -> "SimMatrix":
+        """Read the ``.npz`` cache form; a file that is cut, edited or incomplete raises ParseError."""
         path = _source_path(source)
-        lines = _iter_lines(source)
         try:
-            header = next(lines)
-        except StopIteration:
-            raise ParseError("empty similarity-matrix file", path) from None
-        if not header.startswith("#simmatrix"):
-            raise ParseError("missing '#simmatrix' header", path, 1)
-        fields = _header_fields(header, path)
+            with np.load(source, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in _STORE_ARRAYS}
+                fields = json.loads(str(npz["header"]))
+        except (OSError, KeyError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"unreadable store: {exc}", path) from exc
         try:
-            kind = fields["graph"]
-            lam = float(fields["lambda"])
-            eps = float(fields["eps"])
-            n = int(fields.get("n", 0))
-            declared = int(fields["entries"])
-            digest = fields["sha256"]
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad header field: {exc}", path, 1) from exc
-        if path is None:
-            lines = list(lines)
-            actual = hashlib.sha256("".join(lines).encode()).hexdigest()
-        else:
-            actual = _file_sha256(path, skip_header=True)
-        if actual != digest:
-            raise ParseError("content does not match the header's sha256", path)
-        entries: dict[tuple[TermId, TermId], float] = {}
-        for lineno, line in enumerate(lines, start=2):
-            text = line.rstrip("\n")
-            if not text:
-                continue
-            parts = text.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected 'term_i<TAB>term_j<TAB>sim'", path, lineno)
-            a, b, raw = parts
-            if not a < b:
-                raise ParseError(f"pair {a!r},{b!r} not in sorted order", path, lineno)
-            try:
-                entries[(a, b)] = float(raw)
-            except ValueError:
-                raise ParseError(f"similarity {raw!r} is not a number", path, lineno) from None
-        if declared != len(entries):
-            raise ParseError(f"header declares {declared} entries, file holds {len(entries)}", path)
-        return cls(kind=kind, lam=lam, eps=eps, n=n, entries=entries)
+            kind, lam, eps = str(fields["graph"]), float(fields["lambda"]), float(fields["eps"])
+            n, declared, digest = int(fields["n"]), int(fields["entries"]), fields["sha256"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad header field: {exc}", path) from exc
+        for name, dtype in _STORE_ARRAYS.items():
+            array = arrays[name]
+            if array.dtype.kind != dtype or array.ndim != 1 or (name != "terms" and len(array) != declared):
+                raise ParseError(f"array {name!r} is not {declared} entries of kind {dtype!r}", path)
+        if digest != _arrays_sha256(arrays):
+            raise ParseError("arrays do not match the header's sha256", path)
+        a, b = arrays["a"], arrays["b"]
+        if declared and not (a.min() >= 0 and (a < b).all() and b.max() < len(arrays["terms"])):
+            raise ParseError("end indices out of range or out of order", path)
+        ids = arrays["terms"].astype(object)
+        keys = zip(ids[a].tolist(), ids[b].tolist())
+        return cls(kind=kind, lam=lam, eps=eps, n=n, entries=dict(zip(keys, arrays["sim"].tolist())))
+
+    def export(self, dest: str | Path | IO[str]) -> None:
+        """Write the TSV form, as ``simmatrix --out`` gives it: one sorted line per entry."""
+        keys = sorted(self.entries)
+        with _open_out(dest) as fh:
+            fh.write(
+                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(keys)} "
+                f"eps={self.eps:.17g} n={self.n}\n"
+            )
+            for start in range(0, len(keys), 4096):  # written a block of lines at a time
+                block = keys[start : start + 4096]
+                fh.write("".join(f"{a}\t{b}\t{self.entries[a, b]:.17g}\n" for a, b in block))
+
+
+# the store's arrays and the numpy kind of each: str ids, int end indices, float similarities
+_STORE_ARRAYS = {"terms": "U", "a": "i", "b": "i", "sim": "f"}
+
+
+def _arrays_sha256(arrays: Mapping[str, np.ndarray]) -> str:
+    digest = hashlib.sha256()
+    for name in _STORE_ARRAYS:
+        array = arrays[name]
+        digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def similarity_matrix(

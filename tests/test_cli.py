@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import shutil
 from pathlib import Path
 
@@ -13,6 +12,7 @@ from vocabrel.cli import main, reference_configs, sweep_configs
 from vocabrel.model import parse_vocabulary
 
 from test_mesh import DESCRIPTORS, QUALIFIERS
+from util import rewrite_store
 
 
 def sha(path) -> str:
@@ -265,7 +265,7 @@ def test_truncated_matrix_cache_is_rebuilt(synth_files, tmp_path, caplog):
     )
     fresh, after_cut, after_rebuild = (tmp_path / f"bench-{i}.csv" for i in range(3))
     assert run(*args, "--out", fresh) == 0
-    [matrix_file] = cache.glob("simmatrix-*.tsv")
+    [matrix_file] = cache.glob("simmatrix-*.npz")
     data = matrix_file.read_bytes()
     matrix_file.write_bytes(data[: len(data) // 2])
     assert run(*args, "--out", after_cut) == 0
@@ -289,18 +289,21 @@ def test_store_without_integrity_fields_is_rebuilt(synth_files, tmp_path, caplog
     args = _soft_bench(synth_files, cache, "--graph", "g1", "--lambda", "1")
     fresh, after_edit = tmp_path / "fresh.csv", tmp_path / "after-edit.csv"
     assert run(*args, "--out", fresh) == 0
-    [store] = cache.glob("simmatrix-*.tsv")
-    text = store.read_text()
-    header, body = text.split("\n", 1)
-    header = re.sub(r" (entries|sha256)=\S+", "", header)
-    lines = body.splitlines(keepends=True)
-    # a store as written before the header carried its entry count and digest, cut short
-    store.write_text(header + "\n" + "".join(lines[: len(lines) // 2]))
+    [store] = cache.glob("simmatrix-*.npz")
+    data = store.read_bytes()
+
+    def strip(header, arrays):
+        # a store whose header lacks its entry count and digest, cut short
+        del header["entries"], header["sha256"]
+        for name in ("a", "b", "sim"):
+            arrays[name] = arrays[name][: len(arrays[name]) // 2]
+
+    store.write_bytes(rewrite_store(data, strip))
     caplog.clear()
     assert run(*args, "--out", after_edit) == 0
     assert "cached similarity matrix unreadable, rebuilding" in caplog.text
     assert "cache hit: similarity matrix" not in caplog.text
-    assert store.read_text() == text  # rewritten with both fields
+    assert store.read_bytes() == data  # rewritten with both fields
     assert after_edit.read_bytes() == fresh.read_bytes()
 
 
@@ -323,6 +326,21 @@ def test_truncated_ic_cache_is_rebuilt(synth_files, tmp_path, caplog):
     assert after_cut.read_bytes() == fresh.read_bytes()
 
 
+def test_ic_cache_that_is_not_utf8_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    args = ("ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"], "--cache", cache)
+    fresh, after_edit = tmp_path / "fresh.tsv", tmp_path / "after-edit.tsv"
+    assert run(*args, "--out", fresh) == 0
+    [ic_file] = cache.glob("ic-*.tsv")
+    data = ic_file.read_bytes()
+    ic_file.write_bytes(data[:-40] + b"\xff" + data[-39:])
+    caplog.clear()
+    assert run(*args, "--out", after_edit) == 0
+    assert "cached IC table unreadable, rebuilding" in caplog.text and "not UTF-8" in caplog.text
+    assert ic_file.read_bytes() == data
+    assert after_edit.read_bytes() == fresh.read_bytes()
+
+
 @pytest.mark.parametrize(
     "config", [("--graph", "dic", "--lambda", "1"), ("--graph", "g1", "--lambda", "2")],
     ids=["other-graph", "other-lambda"],
@@ -333,9 +351,9 @@ def test_store_copied_under_another_cache_name_is_rebuilt(synth_files, tmp_path,
     target = _soft_bench(synth_files, cache, *config)
     fresh, after_copy = tmp_path / "fresh.csv", tmp_path / "after-copy.csv"
     assert run(*source, "--out", tmp_path / "source.csv") == 0
-    [source_store] = cache.glob("simmatrix-*.tsv")
+    [source_store] = cache.glob("simmatrix-*.npz")
     assert run(*target, "--out", fresh) == 0
-    [target_store] = set(cache.glob("simmatrix-*.tsv")) - {source_store}
+    [target_store] = set(cache.glob("simmatrix-*.npz")) - {source_store}
     data = target_store.read_bytes()
     shutil.copyfile(source_store, target_store)
     caplog.clear()

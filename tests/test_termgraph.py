@@ -1,9 +1,9 @@
 import functools
-import hashlib
 import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,10 +21,7 @@ from vocabrel.termgraph import (
 )
 
 import oracles
-from util import ic_for, make_vocab
-
-
-BAD_SIM_BODY = "a\tb\tx\n"  # one entry whose similarity is not a number
+from util import ic_for, make_vocab, rewrite_store
 
 
 def _dense_adj(graph):
@@ -110,42 +107,129 @@ def test_simmatrix_restrict_limits_rows(chain_vocab):
         similarity_matrix(graph, lam=1.0, restrict={"zzz"})
 
 
-def test_simmatrix_round_trip(chain_vocab):
-    graph = build_unweighted_graph(chain_vocab)
-    matrix = similarity_matrix(graph, lam=0.7, eps=1e-4)
-    buf = io.StringIO()
+def _store_bytes(matrix: SimMatrix) -> bytes:
+    buf = io.BytesIO()
     matrix.save(buf)
-    again = SimMatrix.load(io.StringIO(buf.getvalue()))
-    assert again == matrix  # bit-exact entries, lambda and eps included
+    return buf.getvalue()
 
 
-def test_simmatrix_load_rejects_missing_header():
-    with pytest.raises(ParseError):
-        SimMatrix.load(["a\tb\t0.5"])
+def _diamond_store(diamond_vocab) -> bytes:
+    return _store_bytes(similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01))
+
+
+def test_simmatrix_round_trip(chain_vocab, tmp_path):
+    stores = [
+        similarity_matrix(build_unweighted_graph(chain_vocab), lam=0.7, eps=1e-4),
+        SimMatrix(kind="dic", lam=2.0, eps=0.1, n=4, entries={("ß", "é"): 1 / 3, ("a", "日本"): 0.1 + 0.2}),
+        SimMatrix(kind="g1", lam=1.0, eps=0.5, n=3, entries={}),
+    ]
+    path = tmp_path / "store.npz"
+    for matrix in stores:
+        data = _store_bytes(matrix)
+        path.write_bytes(data)
+        for source in (io.BytesIO(data), path):
+            again = SimMatrix.load(source)
+            assert again == matrix  # bit-exact entries, lambda and eps included
+            assert _store_bytes(again) == data  # and the same file again
+
+
+def test_simmatrix_save_rejects_an_id_numpy_would_change():
+    matrix = SimMatrix(kind="g1", lam=1.0, eps=0.5, n=2, entries={("a", "b\0"): 0.6})
+    with pytest.raises(ValueError, match="NUL"):
+        matrix.save(io.BytesIO())  # a numpy str array drops trailing NULs
+
+
+def test_simmatrix_load_rejects_missing_header(diamond_vocab):
+    with np.load(io.BytesIO(_diamond_store(diamond_vocab)), allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files if name != "header"}
+    headless = io.BytesIO()
+    np.savez(headless, **arrays)
+    for not_a_store in (headless.getvalue(), b"a\tb\t0.5\n", b""):
+        with pytest.raises(ParseError):
+            SimMatrix.load(io.BytesIO(not_a_store))
 
 
 def test_simmatrix_cut_anywhere_fails_to_load(diamond_vocab):
-    buf = io.StringIO()
-    similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01).save(buf)
-    text = buf.getvalue()
-    for cut in range(len(text)):
+    data = _diamond_store(diamond_vocab)
+    for cut in range(len(data)):
         with pytest.raises(ParseError):
-            SimMatrix.load(io.StringIO(text[:cut]))
+            SimMatrix.load(io.BytesIO(data[:cut]))
+
+
+def test_simmatrix_edited_anywhere_fails_to_load_or_loads_unchanged(diamond_vocab):
+    data = _diamond_store(diamond_vocab)
+    matrix = SimMatrix.load(io.BytesIO(data))
+    for at in range(len(data)):
+        edited = bytearray(data)
+        edited[at] ^= 0x55
+        try:
+            again = SimMatrix.load(io.BytesIO(bytes(edited)))
+        except ParseError:
+            continue
+        assert again == matrix  # only bytes that no reader uses, such as zip timestamps
 
 
 @pytest.mark.parametrize("field", ["entries", "sha256"])
 @pytest.mark.parametrize("as_file", [False, True], ids=["stream", "file"])
 def test_simmatrix_without_an_integrity_field_fails_to_load(diamond_vocab, tmp_path, field, as_file):
-    buf = io.StringIO()
-    similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01).save(buf)
-    header, body = buf.getvalue().split("\n", 1)
-    header = " ".join(part for part in header.split() if not part.startswith(f"{field}="))
-    source = io.StringIO(f"{header}\n{body}")
+    data = rewrite_store(_diamond_store(diamond_vocab), lambda header, arrays: header.pop(field))
+    source = io.BytesIO(data)
     if as_file:
-        source = tmp_path / "store.tsv"
-        source.write_text(f"{header}\n{body}")
+        source = tmp_path / "store.npz"
+        source.write_bytes(data)
     with pytest.raises(ParseError, match=f"bad header field: '{field}'"):
         SimMatrix.load(source)
+
+
+def _edit_similarity(header, arrays):
+    arrays["sim"] = arrays["sim"].copy()
+    arrays["sim"][0] /= 2
+
+
+def _edit_count(header, arrays):
+    header["entries"] += 1
+
+
+def _drop_member(header, arrays):
+    del arrays["b"]
+
+
+def _wrong_dtype(header, arrays):
+    arrays["sim"] = arrays["sim"].astype(str)
+
+
+def _drop_graph(header, arrays):
+    del header["graph"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_similarity, "arrays do not match the header's sha256"),
+        (_edit_count, "array 'a' is not 7 entries"),
+        (_drop_member, "unreadable store: "),
+        (_wrong_dtype, "array 'sim' is not 6 entries of kind 'f'"),
+        (_drop_graph, "bad header field: 'graph'"),
+    ],
+    ids=["similarity", "entry-count", "member", "dtype", "header-field"],
+)
+def test_simmatrix_edited_store_fails_to_load(diamond_vocab, tmp_path, edit, message):
+    path = tmp_path / "store.npz"
+    path.write_bytes(rewrite_store(_diamond_store(diamond_vocab), edit))
+    with pytest.raises(ParseError) as err:
+        SimMatrix.load(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_simmatrix_export_is_sorted_text(diamond_vocab):
+    matrix = similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01)
+    buf = io.StringIO()
+    matrix.export(buf)
+    header, *lines = buf.getvalue().splitlines()
+    assert header == f"#simmatrix graph=g1 lambda=1 entries={len(matrix)} eps=0.01 n={matrix.n}"
+    rows = [line.split("\t") for line in lines]
+    assert [(a, b) for a, b, _ in rows] == sorted(matrix.entries)
+    assert {(a, b): float(s) for a, b, s in rows} == matrix.entries  # %.17g: bit-exact
 
 
 def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
@@ -164,24 +248,21 @@ def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
 @pytest.mark.parametrize(
     "loader, text, line",
     [
-        (
-            SimMatrix.load,
-            "#simmatrix graph=g1 lambda=1 entries=1 sha256="
-            f"{hashlib.sha256(BAD_SIM_BODY.encode()).hexdigest()} eps=0.1 n=2\n{BAD_SIM_BODY}",
-            2,
-        ),
-        (SimMatrix.load, "#simmatrix graph=g1 lambda\n", 1),
         (load_ic_table, "#ictable n=1 denominator=3\nt1\t3.5\t0.0\n", 2),
         (
             functools.partial(load_frequencies, vocab=make_vocab({"t1": set()})),
             "# term count\nt1\t3\nt1\tmany\n",
             3,
         ),
+        (
+            functools.partial(load_frequencies, vocab=make_vocab({"t1": set(), "t2": set()})),
+            "t1\t3\nt2\t5\nt1\t7\n",
+            3,
+        ),
         (read_pairs, "d1\td2\nd1 d3\n", 2),
     ],
     ids=[
-        "simmatrix-similarity", "simmatrix-header-field", "ic-aggregate", "freq-count",
-        "pairs-columns",
+        "ic-aggregate", "freq-count", "freq-duplicate", "pairs-columns",
     ],
 )
 def test_loaders_report_path_and_line(tmp_path, loader, text, line):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import io
+import json
+
+import numpy as np
+
 from vocabrel.infocontent import FreqTable, descendant_closure, information_content
 from vocabrel.model import Annotation, Corpus, Document, Term, Vocabulary
 
@@ -39,3 +44,14 @@ def dict_sim(table: dict):
         return table.get((a, b), table.get((b, a), 0.0))
 
     return sim
+
+
+def rewrite_store(data: bytes, edit) -> bytes:
+    """An ``.npz`` store with ``edit(header, arrays)`` applied to its decoded members."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        header = json.loads(str(npz["header"]))
+        arrays = {name: npz[name] for name in npz.files if name != "header"}
+    edit(header, arrays)
+    buf = io.BytesIO()
+    np.savez(buf, header=np.array(json.dumps(header)), **arrays)
+    return buf.getvalue()
