@@ -27,6 +27,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -125,15 +126,19 @@ class TopicPairSet:
         return len(self.same_topic) + len(self.separate_topic)
 
 
+def _levels_by_topic(judgements: Sequence[RelevanceJudgement]) -> dict[str, dict[str, Level]]:
+    """Each topic's judged documents and their levels, the topics in sorted order."""
+    by_topic: dict[str, dict[str, Level]] = {}
+    for j in sorted(judgements, key=lambda j: j.topic):  # stable: a document's last level wins
+        by_topic.setdefault(j.topic, {})[j.doc] = j.level
+    return by_topic
+
+
 def build_pairs(judgements: Sequence[RelevanceJudgement]) -> TopicPairSet:
     """All within-topic pairs of judged documents, split by shared relevance."""
-    by_topic: dict[str, dict[str, Level]] = {}
-    for j in judgements:
-        by_topic.setdefault(j.topic, {})[j.doc] = j.level
     same: list[tuple[str, str, str]] = []
     separate: list[tuple[str, str, str]] = []
-    for topic in sorted(by_topic):
-        levels = by_topic[topic]
+    for topic, levels in _levels_by_topic(judgements).items():
         docs = sorted(levels)
         for i, a in enumerate(docs):
             rel_a = levels[a] == Level.RELEVANT
@@ -257,14 +262,10 @@ def classification_test(
     """
     if iterations < 1 or sample_size < 1:
         raise ValueError("iterations and sample_size must be positive")
-    by_topic: dict[str, dict[str, Level]] = {}
-    for j in judgements:
-        if j.level == Level.POSSIBLY_RELEVANT:
-            raise ValueError("classification_test expects filtered judgements (levels 0/2 only)")
-        by_topic.setdefault(j.topic, {})[j.doc] = j.level
+    if any(j.level == Level.POSSIBLY_RELEVANT for j in judgements):
+        raise ValueError("classification_test expects filtered judgements (levels 0/2 only)")
     topics = []
-    for topic in sorted(by_topic):
-        levels = by_topic[topic]
+    for topic, levels in _levels_by_topic(judgements).items():
         docs = sorted(levels)
         relevant = [d for d in docs if levels[d] == Level.RELEVANT]
         not_relevant = [d for d in docs if levels[d] == Level.NOT_RELEVANT]
@@ -323,6 +324,14 @@ class ScoreSource:
         value = self.scorer.score(doc_a, doc_b)
         self._memo[key] = value
         return value
+
+    def fill(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Score the pairs in one batch; a pair that fails or names no document raises when asked."""
+        docs = self.corpus.documents
+        keys = [k for k in dict.fromkeys(pair_key(a, b) for a, b in pairs)
+                if k not in self._memo and k[0] in docs and k[1] in docs]
+        results = self.scorer.score_pairs([(docs[a], docs[b]) for a, b in keys])
+        self._memo.update((k, v) for k, v in zip(keys, results) if isinstance(v, float))
 
 
 @dataclass(frozen=True)
@@ -406,6 +415,9 @@ def run_benchmark(
     """
     pairs = build_pairs(judgements)
     source = ScoreSource(corpus, scorer)
+    # one batch over every within-topic pair of judged documents: both protocols read it
+    source.fill(pair for levels in _levels_by_topic(judgements).values()
+                for pair in combinations(sorted(levels), 2))
     errors: list[str] = []
     same_scores = _score_population(pairs.same_topic, source, errors)
     sep_scores = _score_population(pairs.separate_topic, source, errors)

@@ -11,6 +11,14 @@ Three families:
   directions with major terms weighted by w.  The raw-distance variant
   aggregates negated shortest-path distances instead of similarities.
 
+Soft cosine and mts score pairs in batches through one kernel.  Each
+document becomes a row of indices into a dense block of term similarities
+and a row of weights; each step gathers the blocks of ``_CHUNK`` pairs at
+once and adds up each pair's terms with ``np.cumsum``, which adds in strict
+sequence, in the order a scalar loop over the terms would.  Padding adds
+exact zeros or is masked, so a score is the same bits whichever pairs share
+its batch or step, and the same both ways round.
+
 Scores are reported as computed, without clamping: the cosine of nonnegative
 vectors lands in [0, 1] up to float rounding, and raw-distance scores are
 legitimately negative.
@@ -21,7 +29,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .docvectors import QualifiedTermVector, TermVector, document_vector
 from .errors import (
@@ -33,7 +44,7 @@ from .errors import (
     VocabrelError,
 )
 from .infocontent import ICTable
-from .model import Corpus, Document, _iter_lines, _open_out, _source_path
+from .model import Corpus, Document, TermId, _iter_lines, _open_out, _source_path
 from .termgraph import SimMatrix
 
 # the parameters each method reads besides w; every other one keeps its default
@@ -65,10 +76,6 @@ def _sparse_dot(x: Mapping, y: Mapping) -> float:
     return total
 
 
-# Each method scores a pair in two steps: a prepare step does the work that
-# depends on one document alone, and a pair step combines two prepared records.
-
-
 class _SaltonDoc(NamedTuple):
     term_part: Mapping
     qual_part: Mapping
@@ -97,40 +104,114 @@ def salton_cosine(
     return RelatednessScore(_salton_pair(_salton_prepare(x), _salton_prepare(y)), "salton")
 
 
-class _SoftDoc(NamedTuple):
-    vec: tuple[tuple[str, ...], tuple[float, ...]]  # (sorted keys, weights in key order)
-    qform: float  # x'Sx
+_CHUNK = 256  # pairs per kernel step: the step's arrays stay a few MB
 
 
-def _quadratic_form(x: tuple, y: tuple, matrix: SimMatrix) -> float:
-    # x and y are (sorted keys, weights in key order)
-    total = 0.0
-    for i, xi in zip(*x):
-        for j, yj in zip(*y):
-            s = matrix.sim(i, j)
-            if s != 0.0:
-                total += s * xi * yj
-    return total
+class _Block:
+    """Dense values of a symmetric ``sim`` among the terms added so far, indexed from 1.
+
+    Index 0 is padding: its row and column hold ``pad``, which adds an exact
+    zero to a soft-cosine sum (0) or never wins an mts maximum (-inf).  Spare
+    rows past the last term let batches add terms without a copy each time.
+    """
+
+    def __init__(self, sim: SimFn, pad: float, terms: Iterable[TermId] = ()):
+        self.sim, self.pad = sim, pad
+        self.index: dict[TermId, int] = {}
+        self.array = np.full((1, 1), pad)
+        self.add(terms)
+
+    def add(self, terms: Iterable[TermId]) -> None:
+        """Index each new term, with its row and column read from ``sim``."""
+        old = len(self.index)
+        for t in terms:
+            self.index.setdefault(t, len(self.index) + 1)
+        ids = list(self.index)
+        if len(ids) >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
+            grow = max(len(ids) + 1, len(self.array) * 5 // 4) - len(self.array)
+            self.array = np.pad(self.array, (0, grow), constant_values=self.pad)
+        for i in range(old, len(ids)):
+            row = np.fromiter(map(self.sim, repeat(ids[i], i + 1), ids[: i + 1]), float, i + 1)
+            self.array[i + 1, 1 : i + 2] = self.array[1 : i + 2, i + 1] = row
 
 
-def _soft_prepare(vec: TermVector, matrix: SimMatrix) -> _SoftDoc:
+class _Row(NamedTuple):
+    """A document prepared for the kernel."""
+
+    terms: list[int]  # block indices, in the order the sums run
+    weights: Sequence[float]
+    total: float  # soft x'Sx, mts the sum of the weights
+    key: object  # the smaller key goes first in a pair: soft (keys, weights), mts the id
+
+
+def _attempt(fn: Callable, *args, **kwargs):
+    """``fn``'s result, or the VocabrelError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except VocabrelError as exc:
+        return exc
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Each pair's sum of its terms, added one by one from 0.0 as a scalar loop adds them."""
+    # + 0.0 turns the -0.0 that a run of signed zeros can give into the loop's 0.0
+    return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1] + 0.0
+
+
+def _score_rows(method: str, block: np.ndarray, rows: Sequence, pairs: Iterable[tuple[int, int]],
+                ids: Sequence[str] = ()) -> list:
+    """Each pair's score, or its exception: the first of its rows that is one, or x'Sx <= 0.
+
+    With the rows' document ``ids`` given, an x'Sx error names both documents.
+    """
+    results: list = []
+    todo = []  # (position in results, row index, row index)
+    for i, j in pairs:
+        error = next((r for r in (rows[i], rows[j]) if isinstance(r, VocabrelError)), None)
+        if error is None:
+            x, y = (j, i) if rows[j].key < rows[i].key else (i, j)  # same bits both ways round
+            if rows[x].total <= 0.0 or rows[y].total <= 0.0:  # an mts weight sum is at least 1
+                error = NonPositiveQuadraticFormError(
+                    (f"documents {ids[i]!r}, {ids[j]!r}: " if ids else "")
+                    + f"non-positive quadratic form (x'Sx={rows[x].total!r}, y'Sy={rows[y].total!r})"
+                )
+            else:
+                todo.append((len(results), x, y))
+        results.append(error)
+    if not todo:
+        return results
+    table = [r if isinstance(r, _Row) else _Row([0], [0.0], 0.0, None) for r in rows]  # failed: padding
+    lens = np.array([len(r.terms) for r in table])
+    terms, weights = np.zeros((len(table), lens.max()), np.intp), np.zeros((len(table), lens.max()))
+    for k, row in enumerate(table):
+        terms[k, : lens[k]], weights[k, : lens[k]] = row.terms, row.weights
+    totals = np.array([r.total for r in table])
+    at, ra, rb = map(np.array, zip(*todo))
+    for start in range(0, len(at), _CHUNK):
+        a, b = ra[start : start + _CHUNK], rb[start : start + _CHUNK]
+        na, nb = lens[a].max(), lens[b].max()
+        ia, wa, ib, wb = terms[a, :na], weights[a, :na], terms[b, :nb], weights[b, :nb]
+        sims = block[ia[:, :, None], ib[:, None, :]]
+        if method == "mts":  # a padded row's maximum is masked; a padded column never wins
+            best_a = np.where(ia > 0, sims.max(axis=2), 0.0)
+            best_b = np.where(ib > 0, sims.max(axis=1), 0.0)
+            num, den = _in_order(wa * best_a) + _in_order(wb * best_b), totals[a] + totals[b]
+        else:
+            num = _in_order((sims * wa[:, :, None]) * wb[:, None, :])
+            den = np.sqrt(totals[a]) * np.sqrt(totals[b])
+        for k, value in zip(at[start : start + _CHUNK].tolist(), (num / den).tolist()):
+            results[k] = value
+    return results
+
+
+def _soft_row(vec: TermVector, block: _Block) -> _Row:
     if not vec:
         raise EmptyDocumentError("soft cosine of an empty vector")
     keys = tuple(sorted(vec))
-    x = (keys, tuple(vec[k] for k in keys))
-    return _SoftDoc(x, _quadratic_form(x, x, matrix))
-
-
-def _soft_pair(x: _SoftDoc, y: _SoftDoc, matrix: SimMatrix) -> float:
-    # canonical argument order (keys, then weights) keeps the float sum, and
-    # hence the result, identical under argument swap
-    if y.vec < x.vec:
-        x, y = y, x
-    if x.qform <= 0.0 or y.qform <= 0.0:
-        raise NonPositiveQuadraticFormError(
-            f"non-positive quadratic form (x'Sx={x.qform!r}, y'Sy={y.qform!r})"
-        )
-    return _quadratic_form(x.vec, y.vec, matrix) / (math.sqrt(x.qform) * math.sqrt(y.qform))
+    weights = tuple(vec[k] for k in keys)
+    terms, w = [block.index[k] for k in keys], np.array(weights)
+    qform = _in_order(((block.array[np.ix_(terms, terms)] * w[:, None]) * w)[None])[0]  # x'Sx
+    return _Row(terms, weights, float(qform), (keys, weights))
 
 
 def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessScore:
@@ -141,16 +222,14 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
     """
     if isinstance(x, QualifiedTermVector) or isinstance(y, QualifiedTermVector):
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
-    value = _soft_pair(_soft_prepare(x, matrix), _soft_prepare(y, matrix), matrix)
+    block = _Block(matrix.sim, 0.0, chain(x, y))
+    (value,) = _score_rows("soft", block.array, [_soft_row(v, block) for v in (x, y)], [(0, 1)])
+    if isinstance(value, VocabrelError):
+        raise value
     return RelatednessScore(value, "soft")
 
 
-class _MtsDoc(NamedTuple):
-    terms: list[tuple[str, float]]  # (term, weight)
-    weight: float  # sum of the weights
-
-
-def _mts_prepare(doc: Document, w: float, slim: bool) -> _MtsDoc:
+def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
     if w < 1:
         raise ValueError(f"major weight must be >= 1, got {w}")
     if doc.is_empty:
@@ -158,22 +237,8 @@ def _mts_prepare(doc: Document, w: float, slim: bool) -> _MtsDoc:
     annotations = [a for a in doc.annotations if a.is_major] if slim else doc.annotations
     if not annotations:
         raise NoMajorTermsError(f"document {doc.id!r} has no major terms")
-    terms = [(a.term, w if a.is_major else 1.0) for a in annotations]
-    total = 0.0
-    for _, weight in terms:
-        total += weight
-    return _MtsDoc(terms, total)
-
-
-def _mts_pair(a: _MtsDoc, b: _MtsDoc, sim: SimFn) -> float:
-    """Best-match average; callers pass the smaller document id as ``a``."""
-    nums = []
-    for x, y in ((a, b), (b, a)):
-        num = 0.0
-        for t, weight in x.terms:
-            num += weight * max(sim(t, u) for u, _ in y.terms)
-        nums.append(num)
-    return (nums[0] + nums[1]) / (a.weight + b.weight)
+    weights = [w if a.is_major else 1.0 for a in annotations]
+    return _Row([block.index[a.term] for a in annotations], weights, float(np.cumsum(weights)[-1]), doc.id)
 
 
 def mts(
@@ -183,10 +248,12 @@ def mts(
     w: float = 1.0,
     slim: bool = False,
 ) -> RelatednessScore:
-    """Average of per-term best similarities, major terms weighted by w."""
+    """Average of per-term best similarities, major terms weighted by w; ``sim`` is symmetric."""
     if doc_b.id < doc_a.id:
         doc_a, doc_b = doc_b, doc_a
-    value = _mts_pair(_mts_prepare(doc_a, w, slim), _mts_prepare(doc_b, w, slim), sim)
+    block = _Block(sim, -math.inf, (a.term for doc in (doc_a, doc_b) for a in doc.annotations))
+    rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
+    (value,) = _score_rows("mts", block.array, rows, [(0, 1)])
     return RelatednessScore(value, "mts")
 
 
@@ -310,56 +377,57 @@ class Scorer:
     config: MethodConfig
     ic: ICTable | None = None
     matrix: SimMatrix | None = None
-    _prepared: dict[str, _SaltonDoc | _SoftDoc | _MtsDoc] = field(default_factory=dict, repr=False)
-    _sim_fn: SimFn | None = field(default=None, repr=False)
+    # id(document) -> (the document, kept so the id stays its own; its record or exception)
+    _prepared: dict[int, tuple[Document, object]] = field(default_factory=dict, repr=False)
+    _block: _Block | None = field(default=None, repr=False)  # soft, mts: the prepared terms
 
     def __post_init__(self) -> None:
         cfg = self.config
         cfg.validate()
         if cfg.uses_ic and self.ic is None:
             raise ConfigError(f"configuration {cfg.tag()!r} needs an IC table")
-        if cfg.uses_graph and self.matrix is None:
-            raise ConfigError(f"configuration {cfg.tag()!r} needs a similarity matrix")
-        if self.matrix is not None:
-            if cfg.raw_distance:
-                self._sim_fn = matrix_distance_fn(self.matrix)
-            else:
-                self._sim_fn = self.matrix.sim
+        if cfg.uses_graph:
+            if self.matrix is None:
+                raise ConfigError(f"configuration {cfg.tag()!r} needs a similarity matrix")
+            sim = matrix_distance_fn(self.matrix) if cfg.raw_distance else self.matrix.sim
+            self._block = _Block(sim, -math.inf if cfg.method == "mts" else 0.0)
 
-    def _prepare(self, doc: Document) -> _SaltonDoc | _SoftDoc | _MtsDoc:
-        prepared = self._prepared.get(doc.id)
-        if prepared is None:
-            cfg = self.config
-            if cfg.method == "mts":
-                prepared = _mts_prepare(doc, cfg.w, cfg.slim)
-            else:
-                vec = document_vector(
-                    doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers
-                )
-                if cfg.method == "salton":
-                    prepared = _salton_prepare(vec)
-                else:
-                    assert self.matrix is not None
-                    prepared = _soft_prepare(vec, self.matrix)
-            self._prepared[doc.id] = prepared
-        return prepared
+    def _record(self, doc: Document):
+        cfg = self.config
+        if cfg.method == "mts":
+            return _mts_row(doc, cfg.w, cfg.slim, self._block)
+        vec = document_vector(doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers)
+        return _salton_prepare(vec) if cfg.method == "salton" else _soft_row(vec, self._block)
+
+    def _prepare(self, docs: Sequence[Document]) -> list:
+        """Each document's record, or the exception preparing it raised."""
+        fresh = {id(d): d for d in docs if id(d) not in self._prepared}
+        if self._block is not None:
+            self._block.add(a.term for d in fresh.values() for a in d.annotations)
+        for key, doc in fresh.items():
+            self._prepared[key] = (doc, _attempt(self._record, doc))
+        return [self._prepared[id(d)][1] for d in docs]
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
+        salton = self.config.method == "salton"
+        records = self._prepare((doc_a, doc_b)) if salton else self.score_pairs([(doc_a, doc_b)])
+        for record in records:
+            if isinstance(record, VocabrelError):
+                raise record.with_traceback(None)  # a stored exception; drop its old traceback
+        return _salton_pair(*records) if salton else records[0]
+
+    def score_pairs(self, pairs: Sequence[tuple[Document, Document]]) -> list[float | VocabrelError]:
+        """Each pair's score, or the exception scoring it alone raises: the same bits as alone."""
         cfg = self.config
-        if cfg.method == "salton":
-            return _salton_pair(self._prepare(doc_a), self._prepare(doc_b))
-        if cfg.method == "soft":
-            assert self.matrix is not None
-            try:
-                return _soft_pair(self._prepare(doc_a), self._prepare(doc_b), self.matrix)
-            except NonPositiveQuadraticFormError as exc:
-                raise NonPositiveQuadraticFormError(
-                    f"documents {doc_a.id!r}, {doc_b.id!r}: {exc}"
-                ) from None
-        assert self._sim_fn is not None
-        if doc_b.id < doc_a.id:
-            doc_a, doc_b = doc_b, doc_a
-        return _mts_pair(self._prepare(doc_a), self._prepare(doc_b), self._sim_fn)
+        if cfg.method == "salton":  # no kernel: each pair is scored as asked alone
+            return [_attempt(self.score, a, b) for a, b in pairs]
+        if cfg.method == "mts":  # mts prepares, and fails on, the smaller document id first
+            pairs = [(b, a) if b.id < a.id else (a, b) for a, b in pairs]
+        docs = list({id(d): d for pair in pairs for d in pair}.values())
+        position = {id(d): k for k, d in enumerate(docs)}
+        rows = self._prepare(docs)  # before reading the block: preparing may grow it
+        index_pairs = [(position[id(a)], position[id(b)]) for a, b in pairs]
+        return _score_rows(cfg.method, self._block.array, rows, index_pairs, [d.id for d in docs])
 
 
 PairScore = tuple[str, str, float]
@@ -372,26 +440,22 @@ def pairwise_scores(
     scorer: Scorer,
     errors: list[PairError] | None = None,
 ) -> Iterator[PairScore]:
-    """Score pairs one at a time, in input order, as the result is consumed.
+    """Score pairs a chunk at a time, as the result is consumed, yielding them in input order.
 
-    A pair naming an unknown document or failing to score goes to ``errors``
-    and is skipped.
+    Scores are the same bits as scoring each pair alone.  A pair naming an
+    unknown document or failing to score goes to ``errors`` and is skipped.
     """
-    for id_a, id_b in pairs:
-        doc_a = corpus.documents.get(id_a)
-        doc_b = corpus.documents.get(id_b)
-        if doc_a is None or doc_b is None:
-            error = f"unknown document {id_a if doc_a is None else id_b!r}"
-        else:
-            try:
-                value = scorer.score(doc_a, doc_b)
-            except VocabrelError as exc:
-                error = str(exc)
-            else:
-                yield (id_a, id_b, value)
-                continue
-        if errors is not None:
-            errors.append((id_a, id_b, error))
+    docs = corpus.documents
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, _CHUNK)):
+        known = [(a, b) for a, b in chunk if a in docs and b in docs]
+        scored = dict(zip(known, scorer.score_pairs([(docs[a], docs[b]) for a, b in known])))
+        for a, b in chunk:
+            value = scored[a, b] if (a, b) in scored else f"unknown document {a if a not in docs else b!r}"
+            if isinstance(value, float):
+                yield (a, b, value)
+            elif errors is not None:
+                errors.append((a, b, str(value)))
 
 
 def write_scores(dest, tag: str, results: Iterable[PairScore]) -> int:

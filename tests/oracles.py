@@ -110,6 +110,15 @@ def naive_mts(terms_a, terms_b, sim, w: float = 1.0) -> float:
     return num / den
 
 
+def naive_soft_cosine(x: dict, y: dict, sim) -> float:
+    """x'Sy / sqrt(x'Sx y'Sy), each form a plain sum over every pair of entries."""
+
+    def form(u: dict, v: dict) -> float:
+        return sum(a * sim(i, j) * b for i, a in u.items() for j, b in v.items())
+
+    return form(x, y) / math.sqrt(form(x, x) * form(y, y))
+
+
 def naive_classification(topics: dict, draw, score, iterations: int) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn) of the max-similarity rule, asking ``score`` for every comparison.
 

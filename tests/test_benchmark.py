@@ -31,6 +31,7 @@ from vocabrel.benchmark import (
 )
 from vocabrel.errors import MissingDataError, ParseError, VocabrelError
 from vocabrel.relatedness import MethodConfig, Scorer
+from vocabrel.termgraph import SimMatrix
 
 import oracles
 from util import make_corpus, make_doc
@@ -417,6 +418,31 @@ def test_score_source_memoizes_and_reports_missing():
     assert source("d1", "d2") == source("d2", "d1")
     with pytest.raises(MissingDataError):
         source("d1", "ghost")
+
+
+@pytest.mark.parametrize("config", [MethodConfig("soft", graph="g1", lam=1.0), MethodConfig("mts", graph="g1", lam=1.0)])
+def test_score_source_fill_with_no_new_pair_scores_nothing(config):
+    corpus = make_corpus(make_doc("d1", ["t1"]), make_doc("d2", ["t1", "t2"]))
+    matrix = SimMatrix(kind="g1", lam=1.0, eps=1e-4, n=2, entries={("t1", "t2"): 0.5})
+    scorer = Scorer(config=config, matrix=matrix)
+    assert scorer.score_pairs([]) == []
+    source = ScoreSource(corpus, scorer)
+    source.fill([])
+    source.fill([("d1", "ghost"), ("ghost", "d2")])  # judged documents missing from the corpus
+    source.fill([("d1", "d2")])
+    source.fill([("d2", "d1"), ("d1", "d2")])  # every pair already scored
+    assert source("d1", "d2") == scorer.score(corpus.documents["d1"], corpus.documents["d2"])
+    with pytest.raises(MissingDataError):
+        source("d1", "ghost")
+
+
+def test_run_benchmark_with_one_judged_document_per_topic_fills_nothing(synth_world):
+    _, corpus, _ = synth_world
+    ids = sorted(corpus.documents)[:2]
+    judgements = [J("T1", ids[0], 2), J("T2", ids[1], 0)]
+    matrix = SimMatrix(kind="g1", lam=1.0, eps=1e-4, n=0, entries={})
+    with pytest.raises(VocabrelError, match="needs both pair populations"):
+        run_benchmark(corpus, judgements, Scorer(config=MethodConfig("mts", graph="g1", lam=1.0), matrix=matrix))
 
 
 def test_parameter_sweep_continues_after_failing_cell(synth_world, filtered_synth):

@@ -2,14 +2,19 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from vocabrel import model
+from vocabrel.benchmark import ArtifactSet
 from vocabrel.cli import main, reference_configs, sweep_configs
-from vocabrel.model import parse_vocabulary
+from vocabrel.errors import VocabrelError
+from vocabrel.model import Corpus, Document, parse_vocabulary
+from vocabrel.relatedness import _CHUNK, MethodConfig
 
 from test_mesh import DESCRIPTORS, QUALIFIERS
 from util import rewrite_store
@@ -590,3 +595,54 @@ def test_lenient_corpus_parse(synth_files, tmp_path):
     )
     assert lenient_rc == 0
     assert len(out.read_text().splitlines()) == 2  # header + the one pair
+
+
+def test_relate_in_chunks_writes_what_scoring_one_pair_at_a_time_gives(synth_world, tmp_path, caplog):
+    vocab, corpus, _ = synth_world
+    docs = dict(corpus.documents)
+    ids = sorted(docs)
+    bare = ids[5]  # no major terms left, so slim mts fails on every pair naming it
+    docs[bare] = Document(bare, tuple(replace(a, is_major=False) for a in docs[bare].annotations))
+    rng = random.Random(4)
+    pairs = [tuple(rng.sample(ids, 2)) for _ in range(2 * _CHUNK + 37)]
+    pairs[_CHUNK + 3 : _CHUNK + 5] = [(ids[0], "ghost"), (bare, ids[0])]
+    files = {name: tmp_path / name for name in ("vocab.jsonl", "corpus.jsonl", "pairs.tsv")}
+    model.serialize_vocabulary(vocab, files["vocab.jsonl"])
+    model.serialize_corpus(Corpus(docs), files["corpus.jsonl"])
+    files["pairs.tsv"].write_text("".join(f"{a}\t{b}\n" for a, b in pairs))
+    out = tmp_path / "scores.tsv"
+    caplog.set_level("INFO")
+    assert run(
+        "relate", "--vocab", files["vocab.jsonl"], "--corpus", files["corpus.jsonl"],
+        "--pairs", files["pairs.tsv"], "--method", "mts", "--graph", "g1", "--lambda", "1",
+        "--w", "2", "--slim", "--out", out,
+    ) == 0
+    scorer = ArtifactSet(vocab=vocab, corpus=Corpus(docs)).scorer(
+        MethodConfig("mts", graph="g1", lam=1.0, w=2, slim=True)
+    )
+    lines, errors = [], 0
+    for a, b in pairs:
+        try:
+            value = scorer.score(docs[a], docs[b])
+        except (KeyError, VocabrelError):
+            errors += 1
+        else:
+            lines.append(f"{a}\t{b}\t{value:.17g}")
+    assert out.read_text().splitlines()[1:] == lines
+    assert errors >= 2 and f"scored {len(lines)} of {len(pairs)} pairs ({errors} errors)" in caplog.text
+
+
+@pytest.mark.parametrize("method", ["soft", "mts"])
+@pytest.mark.parametrize("known", [0, _CHUNK], ids=["alone", "in-a-chunk-of-its-own"])
+def test_relate_pairs_naming_only_unknown_documents_are_errors(synth_files, tmp_path, caplog, method, known):
+    ids = sorted(json.loads(line)["id"] for line in Path(synth_files["corpus"]).read_text().splitlines())
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("".join(f"{ids[k % 9]}\t{ids[k % 9 + 1]}\n" for k in range(known)) + f"{ids[0]}\tghost\n")
+    out = tmp_path / "scores.tsv"
+    caplog.set_level("INFO")
+    assert run(
+        "relate", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"], "--pairs", pairs,
+        "--method", method, "--graph", "g1", "--lambda", "1", "--out", out,
+    ) == 0
+    assert len(out.read_text().splitlines()) == 1 + known
+    assert f"scored {known} of {known + 1} pairs (1 errors)" in caplog.text

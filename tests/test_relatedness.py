@@ -12,10 +12,12 @@ from vocabrel.errors import (
     EmptyDocumentError,
     NoMajorTermsError,
     NonPositiveQuadraticFormError,
+    VocabrelError,
 )
 from vocabrel.infocontent import ICTable
 from vocabrel.model import Document
 from vocabrel.relatedness import (
+    _CHUNK,
     MethodConfig,
     Scorer,
     matrix_distance_fn,
@@ -26,7 +28,7 @@ from vocabrel.relatedness import (
     soft_cosine,
     write_scores,
 )
-from vocabrel.termgraph import SimMatrix
+from vocabrel.termgraph import SimMatrix, TermGraph, similarity_matrix
 
 import oracles
 from util import dict_sim, make_corpus, make_doc
@@ -334,3 +336,141 @@ def test_scores_round_trip():
     header, rows = read_scores(io.StringIO(text))
     assert header.startswith("salton ")
     assert rows == [("d1", "d2", results[0][2])]
+
+
+@pytest.mark.parametrize("method", ["salton", "soft", "mts"])
+def test_scorer_prepares_a_new_document_under_a_known_id_afresh(method):
+    config = MethodConfig(method, graph="g1", lam=1.0) if method != "salton" else MethodConfig(method)
+    scorer = Scorer(config=config, matrix=identity_matrix() if config.uses_graph else None)
+    b = make_doc("b", ["t1", "t2"])
+    old_a, new_a = make_doc("a", ["t1", "t2"]), make_doc("a", ["t3"])
+    assert scorer.score(old_a, b) == pytest.approx(1.0, abs=1e-12)
+    assert scorer.score(new_a, b) == 0.0
+    fresh = Scorer(config=config, matrix=scorer.matrix)
+    assert fresh.score_pairs([(old_a, b), (new_a, b)]) == [scorer.score(old_a, b), 0.0]
+
+
+# --- the batched kernel against the oracles ------------------------------------
+
+KERNEL_CONFIGS = {
+    "soft-binary": MethodConfig("soft", graph="dic", lam=1.0, w=3),
+    "soft-ic": MethodConfig("soft", vector="ic", graph="dic", lam=1.0, w=3),
+    "mts": MethodConfig("mts", graph="dic", lam=1.0, w=3),
+    "mts-slim": MethodConfig("mts", graph="dic", lam=1.0, w=2, slim=True),
+    "mts-rawdist": MethodConfig.from_label("mts-rawdist", graph="dic", lam=2.0, w=2),
+    "mts-rawdist-eps0": MethodConfig.from_label("mts-rawdist", graph="dic", lam=2.0, w=2, eps=0.0),
+}
+
+
+def _kernel_world(rng: random.Random):
+    """A random weighted graph, IC values (some 0), and documents over its terms.
+
+    Returns (graph, ic, documents, all-pairs distances by Floyd-Warshall).
+    """
+    parents = oracles.random_dag_parents(rng, 12)
+    adj = oracles.random_weighted_adjacency(rng, parents)
+    graph = TermGraph(kind="dic", adj={t: tuple(sorted(nbrs.items())) for t, nbrs in adj.items()})
+    nodes = sorted(parents)
+    ic = ICTable(ic={t: rng.choice([0.0, 0.5, 1.0, 2.5]) for t in nodes},
+                 aggregate={t: 1 for t in nodes}, denominator=1)
+    docs = []
+    for i in range(rng.randint(2, 7)):
+        terms = rng.sample(nodes, rng.randint(1, min(5, len(nodes))))
+        docs.append(make_doc(f"d{i}", terms, majors=rng.sample(terms, rng.randint(0, len(terms)))))
+    if rng.random() < 0.3:
+        docs.append(Document(id=f"d{len(docs)}", annotations=()))
+    return graph, ic, docs, oracles.floyd_warshall(nodes, adj)
+
+
+def _oracle_sim(config: MethodConfig, dist: dict):
+    lam, eps = config.lam, config.eps
+    if not config.raw_distance:
+        def sim(a, b):
+            s = 1.0 if a == b else math.exp(-dist[a][b] / lam)
+            return s if a == b or s > eps else 0.0
+        return sim
+    if eps > 0:
+        cutoff = -lam * math.log(eps)
+    else:
+        finite = [d for row in dist.values() for d in row.values() if 0 < d < math.inf]
+        cutoff = max(finite, default=0.0) + 1.0
+    return lambda a, b: 0.0 if a == b else -min(dist[a][b], cutoff)
+
+
+def _oracle_score(config: MethodConfig, ic: ICTable, sim, doc_a: Document, doc_b: Document):
+    """The oracle's score of a pair, or the (type, message) of the error it must raise."""
+    if config.method == "mts":
+        first, second = sorted((doc_a, doc_b), key=lambda d: d.id)
+        for doc in (first, second):
+            if doc.is_empty:
+                return EmptyDocumentError, f"empty document {doc.id!r}"
+            if config.slim and not doc.major_term_ids():
+                return NoMajorTermsError, f"document {doc.id!r} has no major terms"
+        terms = [
+            [(a.term, a.is_major) for a in d.annotations if a.is_major or not config.slim]
+            for d in (doc_a, doc_b)
+        ]
+        return oracles.naive_mts(*terms, sim, config.w)
+    vectors = []
+    for doc in (doc_a, doc_b):
+        if doc.is_empty:
+            return EmptyDocumentError, f"empty document {doc.id!r}"
+        base = ic.ic if config.vector == "ic" else dict.fromkeys(doc.term_ids(), 1.0)
+        vectors.append({a.term: base[a.term] * (config.w if a.is_major else 1.0)
+                        for a in doc.annotations})
+    if any(sum(v * sim(i, j) * u for i, v in x.items() for j, u in x.items()) <= 0 for x in vectors):
+        return (NonPositiveQuadraticFormError,
+                f"documents {doc_a.id!r}, {doc_b.id!r}: non-positive quadratic form (x'Sx=")
+    return oracles.naive_soft_cosine(*vectors, sim)
+
+
+def _same_outcome(got, want) -> None:
+    if isinstance(want, tuple):
+        assert type(got) is want[0] and str(got).startswith(want[1]), (got, want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def _outcome(score, *args):
+    try:
+        return score(*args)
+    except VocabrelError as exc:
+        return exc
+
+
+def _fingerprint(outcome) -> tuple:
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return float, outcome.hex()
+
+
+@given(st.integers(0, 10_000))
+def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
+    rng = random.Random(seed)
+    graph, ic, docs, dist = _kernel_world(rng)
+    pairs = [(a, b) for a in docs for b in docs]
+    for config in KERNEL_CONFIGS.values():
+        matrix = similarity_matrix(graph, lam=config.lam, eps=config.eps)
+        sim = _oracle_sim(config, dist)
+        new_scorer = lambda: Scorer(config=config, ic=ic, matrix=matrix)
+        batch = new_scorer().score_pairs(pairs)
+        for (a, b), got in zip(pairs, batch):
+            _same_outcome(got, _oracle_score(config, ic, sim, a, b))
+        # a pair alone, in a shuffled batch, and on both sides of a kernel step's end;
+        # the filler pairs all score, so that the step holds _CHUNK of them
+        a, b = rng.choice(pairs)
+        shuffled = rng.sample(pairs, len(pairs))
+        scoring = [pair for pair, got in zip(pairs, batch) if isinstance(got, float)] or pairs
+        boundary = [rng.choice(scoring) for _ in range(_CHUNK + 1)]
+        boundary[_CHUNK - 1 : _CHUNK + 1] = [(a, b), (b, a)]
+        across = new_scorer().score_pairs(boundary)
+        forward = [_outcome(new_scorer().score, a, b), across[_CHUNK - 1],
+                   new_scorer().score_pairs(shuffled)[shuffled.index((a, b))]]
+        backward = [_outcome(new_scorer().score, b, a), across[_CHUNK]]
+        if isinstance(forward[0], Exception):  # the message names the ids in the order asked
+            assert {_fingerprint(o) for o in forward} == {_fingerprint(forward[0])}
+            assert {_fingerprint(o) for o in backward} == {_fingerprint(backward[0])}
+            assert type(forward[0]) is type(backward[0])
+        else:
+            assert {_fingerprint(o) for o in forward + backward} == {_fingerprint(forward[0])}
