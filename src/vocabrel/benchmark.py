@@ -15,12 +15,20 @@ Protocol, given per-topic relevance judgements over a corpus:
 
 All sampling derives from one integer seed via per-(topic, iteration)
 SHA-256 substreams, so results do not depend on Python's hash randomization.
+
+``run_benchmark`` scores every within-topic pair of judged documents in one
+batch, and the classification test reads each topic from one table of those
+scores: it gathers the cells of all iterations at once (iterations x
+classified documents x seeds), takes each half's maximum and counts the
+outcomes in one pass.  The draws depend only on the seed and the judgements,
+so a sweep draws them once for all its configurations.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import hashlib
 import logging
 import math
@@ -259,6 +267,12 @@ def classification_test(
     Every topic must hold at least ``sample_size`` relevant and
     ``sample_size`` not-relevant documents; a smaller topic is an error
     rather than a silent skip, so accuracy numbers stay comparable.
+
+    Each topic's scores form one table over its judged documents.  A
+    ``ScoreSource`` gives the cells its memo holds at once; every other cell
+    an iteration needs is asked of ``score_fn`` once, in the order a loop
+    over the iterations would first need it, and never mirrored.  The
+    decision then runs over all iterations together.
     """
     if iterations < 1 or sample_size < 1:
         raise ValueError("iterations and sample_size must be positive")
@@ -276,31 +290,62 @@ def classification_test(
                 f"need {sample_size} of each"
             )
         topics.append((topic, levels, docs, relevant, not_relevant))
-    counts = np.zeros(4, dtype=np.int64)  # tn, fn, fp, tp
+    memo = score_fn._memo if isinstance(score_fn, ScoreSource) else {}
+    outcomes = [np.zeros(0, np.intp)]  # 2 * predicted + actual of every classification
     for topic, levels, docs, relevant, not_relevant in topics:
-        index = {d: i for i, d in enumerate(docs)}
+        seeds, rest = _draws(seed, topic, tuple(relevant), tuple(not_relevant), iterations, sample_size)
+        cells = rest[:, :, None], seeds[:, None, :]  # iterations x rows x seeds
+        table, asked = _held_scores(docs, memo)  # table[i, j]: the score of docs[i], docs[j]
+        if not asked[cells].all():
+            for drawn, rows in zip(seeds, rest):
+                block = np.ix_(rows, drawn)
+                for i, j in zip(*np.nonzero(~asked[block])):
+                    table[rows[i], drawn[j]] = score_fn(docs[rows[i]], docs[drawn[j]])
+                asked[block] = True
+        scores = table[cells]
+        # the larger max-similarity wins; a tie goes to not relevant
+        predicted = scores[..., :sample_size].max(axis=2) > scores[..., sample_size:].max(axis=2)
         actual = np.array([levels[d] == Level.RELEVANT for d in docs])
-        # table[i, j] = score_fn(docs[i], docs[j]), asked when an iteration first
-        # needs it (the order a per-iteration loop asks in); never mirrored
-        table = np.zeros((len(docs), len(docs)))
-        asked = np.zeros(table.shape, dtype=bool)
-        for iteration in range(iterations):
-            rng = random.Random(derive_substream_seed(seed, topic, iteration))
-            drawn = stable_sample(relevant, sample_size, rng)
-            drawn += stable_sample(not_relevant, sample_size, rng)
-            sampled = set(drawn)
-            rows = [index[d] for d in docs if d not in sampled]
-            cols = [index[s] for s in drawn]
-            block = np.ix_(rows, cols)
-            for i, j in zip(*np.nonzero(~asked[block])):
-                table[rows[i], cols[j]] = score_fn(docs[rows[i]], drawn[j])
-            asked[block] = True
-            scores = table[block]
-            # the larger max-similarity wins; a tie goes to not relevant
-            predicted = scores[:, :sample_size].max(axis=1) > scores[:, sample_size:].max(axis=1)
-            counts += np.bincount(2 * predicted + actual[rows], minlength=4)
-    tn, fn, fp, tp = map(int, counts)
+        outcomes.append((2 * predicted + actual[rest]).ravel())
+    tn, fn, fp, tp = map(int, np.bincount(np.concatenate(outcomes), minlength=4))
     return Confusion(tp, fp, tn, fn)
+
+
+@functools.lru_cache(maxsize=256)
+def _draws(seed: int, topic: str, relevant: tuple[str, ...], not_relevant: tuple[str, ...],
+           iterations: int, sample_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each iteration's seed documents and the documents left to classify, as read-only rows.
+
+    Both are positions among the topic's sorted documents: the seeds in the
+    order drawn, relevant first, the rest in sorted order.  The draws depend
+    on no configuration, so a sweep computes them once for all its cells.
+    """
+    docs = sorted(relevant + not_relevant)
+    index = {d: i for i, d in enumerate(docs)}
+    seeds = np.empty((iterations, 2 * sample_size), np.intp)
+    rest = np.empty((iterations, len(docs) - 2 * sample_size), np.intp)
+    for iteration in range(iterations):
+        rng = random.Random(derive_substream_seed(seed, topic, iteration))
+        drawn = stable_sample(relevant, sample_size, rng) + stable_sample(not_relevant, sample_size, rng)
+        sampled = set(drawn)
+        seeds[iteration] = [index[d] for d in drawn]
+        rest[iteration] = [i for i, d in enumerate(docs) if d not in sampled]
+    seeds.flags.writeable = rest.flags.writeable = False
+    return seeds, rest
+
+
+def _held_scores(docs: Sequence[str], memo: dict[tuple[str, str], float]) -> tuple[np.ndarray, np.ndarray]:
+    """The scores ``memo`` holds among the sorted ``docs`` as a mirrored table, and where it holds one."""
+    n = len(docs)
+    table, held = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    if memo:
+        found = [memo.get(pair) for pair in combinations(docs, 2)]  # each pair smaller id first
+        i, j = np.triu_indices(n, 1)  # the same pairs, in the same order
+        has = np.array([value is not None for value in found], dtype=bool)
+        values = np.array([0.0 if value is None else value for value in found])
+        table[i, j] = table[j, i] = values
+        held[i, j] = held[j, i] = has
+    return table, held
 
 
 class ScoreSource:

@@ -22,6 +22,7 @@ matrices keyed by input digests and parameters for reuse across commands.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -172,13 +173,16 @@ class Workspace(ArtifactSet):
         key = (kind, lam, eps)
         if key not in self._matrices and self._cache is not None:
             tokens = self._tokens
-            parts = ["simmatrix", kind, f"{lam:.17g}", f"{eps:.17g}", tokens["vocab"], tokens["restrict"]]
+            inputs = [tokens["vocab"], tokens["restrict"]]
             if kind == "dic":
-                parts.append(tokens["freqsrc"])
+                inputs.append(tokens["freqsrc"])
+            digest = _digest(*inputs)  # the store's header records it, and ``fits`` compares it
+            build = functools.partial(super().matrix, kind, lam, eps)
             self._matrices[key] = self._load_or_build(
-                "similarity matrix", parts, ".npz",
-                SimMatrix.load, lambda matrix: (matrix.kind, matrix.lam, matrix.eps) == key,
-                functools.partial(super().matrix, kind, lam, eps), SimMatrix.save,
+                "similarity matrix", ["simmatrix", kind, f"{lam:.17g}", f"{eps:.17g}", *inputs], ".npz",
+                SimMatrix.load,
+                lambda matrix: (matrix.kind, matrix.lam, matrix.eps, matrix.inputs) == (*key, digest),
+                lambda: dataclasses.replace(build(), inputs=digest), SimMatrix.save,
             )
         return super().matrix(kind, lam, eps)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .infocontent import ICTable
 from .model import Corpus, Document, TermId, _iter_lines, _open_out, _source_path
-from .termgraph import SimMatrix
+from .termgraph import SimMatrix, StoreArrays
 
 # the parameters each method reads besides w; every other one keeps its default
 METHOD_PARAMS = {
@@ -108,31 +108,58 @@ _CHUNK = 256  # pairs per kernel step: the step's arrays stay a few MB
 
 
 class _Block:
-    """Dense values of a symmetric ``sim`` among the terms added so far, indexed from 1.
+    """Dense values of a symmetric similarity among the terms added so far, indexed from 1.
 
-    Index 0 is padding: its row and column hold ``pad``, which adds an exact
-    zero to a soft-cosine sum (0) or never wins an mts maximum (-inf).  Spare
-    rows past the last term let batches add terms without a copy each time.
+    The values come from a store's entry arrays: an entry's value, mirrored,
+    is its ``sim`` or ``value(sim)``; a pair with no entry holds ``absent``
+    and a term with itself ``self_value``, unless an entry joins the term to
+    itself.  Index 0 is padding: its row and column hold ``pad``, which adds
+    an exact zero to a soft-cosine sum (0) or never wins an mts maximum
+    (-inf).  Spare rows past the last term let batches add terms without a
+    copy each time.
     """
 
-    def __init__(self, sim: SimFn, pad: float, terms: Iterable[TermId] = ()):
-        self.sim, self.pad = sim, pad
+    def __init__(self, store: StoreArrays, pad: float, absent: float, self_value: float,
+                 value: Callable[[float], float] | None = None):
+        self.store, self.value = store, value
+        self.pad, self.absent, self.self_value = pad, absent, self_value
         self.index: dict[TermId, int] = {}
         self.array = np.full((1, 1), pad)
-        self.add(terms)
+        self._where = {t: k for k, t in enumerate(store.terms)}  # position in the store of each id
+        self._at = np.zeros(len(store.terms), np.int32)  # block index of each store id, 0 if none
 
     def add(self, terms: Iterable[TermId]) -> None:
-        """Index each new term, with its row and column read from ``sim``."""
+        """Index each new term, its row and column scattered from the store's entries."""
         old = len(self.index)
         for t in terms:
             self.index.setdefault(t, len(self.index) + 1)
-        ids = list(self.index)
-        if len(ids) >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
-            grow = max(len(ids) + 1, len(self.array) * 5 // 4) - len(self.array)
+        new = len(self.index)
+        if new == old:
+            return
+        if new >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
+            grow = max(new + 1, len(self.array) * 5 // 4) - len(self.array)
             self.array = np.pad(self.array, (0, grow), constant_values=self.pad)
-        for i in range(old, len(ids)):
-            row = np.fromiter(map(self.sim, repeat(ids[i], i + 1), ids[: i + 1]), float, i + 1)
-            self.array[i + 1, 1 : i + 2] = self.array[1 : i + 2, i + 1] = row
+        fresh = np.arange(old + 1, new + 1)
+        self.array[old + 1 : new + 1, 1 : new + 1] = self.array[1 : new + 1, old + 1 : new + 1] = self.absent
+        self.array[fresh, fresh] = self.self_value
+        placed = [(self._where[t], k) for t, k in islice(self.index.items(), old, None) if t in self._where]
+        if not placed:  # no new term has an entry
+            return
+        self._at[[p for p, _ in placed]] = [k for _, k in placed]
+        ia, ib = self._at[self.store.a], self._at[self.store.b]
+        hit = np.flatnonzero((np.minimum(ia, ib) > 0) & (np.maximum(ia, ib) > old))  # one end new
+        ia, ib, sims = ia[hit], ib[hit], self.store.sim[hit]
+        if self.value is not None:
+            sims = np.fromiter(map(self.value, sims.tolist()), float, len(sims))
+        self.array[ia, ib] = self.array[ib, ia] = sims
+
+
+def _matrix_block(matrix: SimMatrix, pad: float, raw_distance: bool = False) -> _Block:
+    """An empty block over ``matrix``: its similarities, or the negated distances of mts-rawdist."""
+    if raw_distance:
+        neg_distance = _neg_distance_rule(matrix)
+        return _Block(matrix.arrays, pad, neg_distance(0.0), 0.0, neg_distance)
+    return _Block(matrix.arrays, pad, 0.0, 1.0)
 
 
 class _Row(NamedTuple):
@@ -222,7 +249,8 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
     """
     if isinstance(x, QualifiedTermVector) or isinstance(y, QualifiedTermVector):
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
-    block = _Block(matrix.sim, 0.0, chain(x, y))
+    block = _matrix_block(matrix, 0.0)
+    block.add(chain(x, y))
     (value,) = _score_rows("soft", block.array, [_soft_row(v, block) for v in (x, y)], [(0, 1)])
     if isinstance(value, VocabrelError):
         raise value
@@ -251,7 +279,11 @@ def mts(
     """Average of per-term best similarities, major terms weighted by w; ``sim`` is symmetric."""
     if doc_b.id < doc_a.id:
         doc_a, doc_b = doc_b, doc_a
-    block = _Block(sim, -math.inf, (a.term for doc in (doc_a, doc_b) for a in doc.annotations))
+    terms = list(dict.fromkeys(a.term for doc in (doc_a, doc_b) for a in doc.annotations))
+    later, earlier = np.tril_indices(len(terms))  # every pair once, each term with itself too
+    sims = np.fromiter(map(sim, [terms[i] for i in later], [terms[j] for j in earlier]), float, len(later))
+    block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0, 0.0)
+    block.add(terms)
     rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
     (value,) = _score_rows("mts", block.array, rows, [(0, 1)])
     return RelatednessScore(value, "mts")
@@ -265,6 +297,12 @@ def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
     as the cutoff distance: -lambda*ln(eps) when eps > 0, otherwise one more
     than the largest materialized distance.
     """
+    neg_distance = _neg_distance_rule(matrix)
+    return lambda a, b: 0.0 if a == b else neg_distance(matrix.sim(a, b))
+
+
+def _neg_distance_rule(matrix: SimMatrix) -> Callable[[float], float]:
+    """The negated distance ``matrix_distance_fn`` gives a pair of stored similarity s (0 if absent)."""
     lam = matrix.lam
     if matrix.eps > 0.0:
         cutoff = -lam * math.log(matrix.eps)
@@ -272,10 +310,7 @@ def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
         longest = max((-lam * math.log(s) for s in matrix.entries.values()), default=0.0)
         cutoff = longest + 1.0
 
-    def neg_distance(a: str, b: str) -> float:
-        if a == b:
-            return 0.0
-        s = matrix.sim(a, b)
+    def neg_distance(s: float) -> float:
         if s <= 0.0:
             return -cutoff
         return -min(cutoff, -lam * math.log(s))
@@ -389,8 +424,8 @@ class Scorer:
         if cfg.uses_graph:
             if self.matrix is None:
                 raise ConfigError(f"configuration {cfg.tag()!r} needs a similarity matrix")
-            sim = matrix_distance_fn(self.matrix) if cfg.raw_distance else self.matrix.sim
-            self._block = _Block(sim, -math.inf if cfg.method == "mts" else 0.0)
+            pad = -math.inf if cfg.method == "mts" else 0.0
+            self._block = _matrix_block(self.matrix, pad, cfg.raw_distance)
 
     def _record(self, doc: Document):
         cfg = self.config

@@ -12,9 +12,10 @@ Searches prune their frontier with the same ``exp(-d/lam) > eps`` predicate
 used for storage: cost is nondecreasing along the search, so no qualifying
 entry is lost and the pruned result equals the unpruned one.
 
-``SimMatrix.save``/``load`` keep a store as ``.npz`` arrays for the cache,
-checked against the entry count and SHA-256 in their header; ``export``
-writes the sorted TSV form that the ``simmatrix`` command gives.
+``SimMatrix.arrays`` holds a store's entries as arrays, the form scoring
+reads; ``save``/``load`` keep that form as ``.npz`` for the cache, checked
+against the entry count and SHA-256 in their header; ``export`` writes the
+sorted TSV form that the ``simmatrix`` command gives.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import math
 import zipfile
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, count
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,6 +133,15 @@ def _dijkstra(graph, source, keep):
     return dist
 
 
+class StoreArrays(NamedTuple):
+    """A store's entries as arrays: entry k joins ``terms[a[k]]`` and ``terms[b[k]]``."""
+
+    terms: Sequence[TermId]  # the distinct ids of the entries' ends, sorted
+    a: np.ndarray  # positions in ``terms``: int32, a < b, in a SimMatrix's arrays
+    b: np.ndarray
+    sim: np.ndarray  # float64 similarities
+
+
 @dataclass(frozen=True)
 class SimMatrix:
     """Sparse symmetric term-similarity matrix with an implicit unit diagonal.
@@ -138,6 +149,8 @@ class SimMatrix:
     ``entries`` maps a term pair ``(a, b)`` with ``a < b`` to its similarity,
     and is held as given, not copied.  Off-diagonal entries are stored only
     when strictly above the cutoff ``eps``; everything else reads as 0.
+    ``inputs`` is the digest of the inputs the store was built from, as a
+    cache records it; empty when unknown.
     """
 
     kind: str  # the graph: "g1" or "dic"
@@ -145,6 +158,7 @@ class SimMatrix:
     eps: float
     n: int  # terms in the graph
     entries: Mapping[tuple[TermId, TermId], float] = field(repr=False)
+    inputs: str = field(default="", compare=False)
 
     def sim(self, a: TermId, b: TermId) -> float:
         if a == b:
@@ -155,22 +169,28 @@ class SimMatrix:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def save(self, dest: str | Path | IO[bytes]) -> None:
-        """Write the ``.npz`` cache form: the arrays, and a header with their count and digest."""
+    @cached_property
+    def arrays(self) -> StoreArrays:
+        """The entries as arrays, derived once; a loaded store has the arrays it read."""
         index = defaultdict(count().__next__)  # numbers each term id when first seen
         n_entries = len(self.entries)
         flat = chain.from_iterable(self.entries)  # a1, b1, a2, b2, ...
         ends = np.fromiter(map(index.__getitem__, flat), np.int32, 2 * n_entries)
-        if any(t.endswith("\0") for t in index):
-            raise ValueError("a term id ending in NUL cannot be stored")  # numpy strips it
-        ids = np.array(list(index), dtype=str)
-        order = np.argsort(ids)
+        ids = list(index)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
         rank = np.empty(len(ids), np.int32)
-        rank[order] = np.arange(len(ids))  # first-seen number -> position among the sorted ids
-        arrays = {"terms": ids[order], "a": rank[ends[0::2]], "b": rank[ends[1::2]],
-                  "sim": np.fromiter(self.entries.values(), np.float64, n_entries)}
+        rank[order] = np.arange(len(ids), dtype=np.int32)  # first-seen number -> sorted position
+        return StoreArrays([ids[k] for k in order], rank[ends[0::2]], rank[ends[1::2]],
+                           np.fromiter(self.entries.values(), np.float64, n_entries))
+
+    def save(self, dest: str | Path | IO[bytes]) -> None:
+        """Write the ``.npz`` cache form: the arrays, and a header with their count and digest."""
+        terms, a, b, sims = self.arrays
+        if any(t.endswith("\0") for t in terms):
+            raise ValueError("a term id ending in NUL cannot be stored")  # numpy strips it
+        arrays = {"terms": np.array(terms, dtype=str), "a": a, "b": b, "sim": sims}
         header = {"graph": self.kind, "lambda": self.lam, "eps": self.eps, "n": self.n,
-                  "entries": n_entries, "sha256": _arrays_sha256(arrays)}
+                  "entries": len(sims), "sha256": _arrays_sha256(arrays), "inputs": self.inputs}
         with _open_out(dest, binary=True) as fh:
             np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
@@ -187,6 +207,7 @@ class SimMatrix:
         try:
             kind, lam, eps = str(fields["graph"]), float(fields["lambda"]), float(fields["eps"])
             n, declared, digest = int(fields["n"]), int(fields["entries"]), fields["sha256"]
+            inputs = str(fields.get("inputs", ""))  # a store written without it fits no request
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad header field: {exc}", path) from exc
         for name, dtype in _STORE_ARRAYS.items():
@@ -195,12 +216,15 @@ class SimMatrix:
                 raise ParseError(f"array {name!r} is not {declared} entries of kind {dtype!r}", path)
         if digest != _arrays_sha256(arrays):
             raise ParseError("arrays do not match the header's sha256", path)
-        a, b = arrays["a"], arrays["b"]
+        a, b, sims = arrays["a"], arrays["b"], arrays["sim"]
         if declared and not (a.min() >= 0 and (a < b).all() and b.max() < len(arrays["terms"])):
             raise ParseError("end indices out of range or out of order", path)
         ids = arrays["terms"].astype(object)
         keys = zip(ids[a].tolist(), ids[b].tolist())
-        return cls(kind=kind, lam=lam, eps=eps, n=n, entries=dict(zip(keys, arrays["sim"].tolist())))
+        matrix = cls(kind=kind, lam=lam, eps=eps, n=n, entries=dict(zip(keys, sims.tolist())),
+                     inputs=inputs)
+        vars(matrix)["arrays"] = StoreArrays(ids.tolist(), a, b, sims)  # arrays' cached value
+        return matrix
 
     def export(self, dest: str | Path | IO[str]) -> None:
         """Write the TSV form, as ``simmatrix --out`` gives it: one sorted line per entry."""
@@ -284,6 +308,7 @@ __all__ = [
     "UNREACHABLE",
     "TermGraph",
     "SimMatrix",
+    "StoreArrays",
     "build_unweighted_graph",
     "build_ic_weighted_graph",
     "single_source_distances",

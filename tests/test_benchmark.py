@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from vocabrel.benchmark import (
     ArtifactSet,
+    BenchResult,
     Confusion,
     Level,
     RelevanceJudgement,
@@ -23,13 +26,16 @@ from vocabrel.benchmark import (
     pair_key,
     parameter_sweep,
     run_benchmark,
+    separation_stats,
     skewness,
     stable_sample,
     write_distributions,
     write_judgements,
+    _score_population,
     write_results_csv,
 )
 from vocabrel.errors import MissingDataError, ParseError, VocabrelError
+from vocabrel.model import Corpus, Document
 from vocabrel.relatedness import MethodConfig, Scorer
 from vocabrel.termgraph import SimMatrix
 
@@ -443,6 +449,109 @@ def test_run_benchmark_with_one_judged_document_per_topic_fills_nothing(synth_wo
     matrix = SimMatrix(kind="g1", lam=1.0, eps=1e-4, n=0, entries={})
     with pytest.raises(VocabrelError, match="needs both pair populations"):
         run_benchmark(corpus, judgements, Scorer(config=MethodConfig("mts", graph="g1", lam=1.0), matrix=matrix))
+
+
+def _bench_outcome(run) -> tuple:
+    """A benchmark cell's every field, floats as hex, or the type and message of its fatal error."""
+    try:
+        result = run()
+    except VocabrelError as exc:
+        return type(exc), str(exc)
+    values = (getattr(result, f.name) for f in dataclasses.fields(result))
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def _per_pair_benchmark(corpus, judgements, scorer, **protocol) -> BenchResult:
+    """``run_benchmark`` as every pair asked alone: no batch, and a plain score function."""
+    source = ScoreSource(corpus, scorer)
+    pairs = build_pairs(judgements)
+    errors: list = []
+    same = _score_population(pairs.same_topic, source, errors)
+    separate = _score_population(pairs.separate_topic, source, errors)
+    confusion = classification_test(judgements, lambda a, b: source(a, b), **protocol)
+    return BenchResult(
+        config=scorer.config, phi=mcc(confusion), **separation_stats(same, separate),
+        n_same=len(same), n_separate=len(separate), n_errors=len(errors),
+        n_classifications=confusion.total,
+    )
+
+
+BENCH_CONFIGS = [
+    MethodConfig("salton", vector="ic", w=2),
+    MethodConfig("soft", graph="g1", lam=1.0, w=4),
+    MethodConfig("soft", vector="ic", graph="dic", lam=1.0, w=3),
+    MethodConfig("mts", graph="g1", lam=1.0, w=16),
+    MethodConfig("mts", graph="dic", lam=2.0, w=2, slim=True),
+    MethodConfig.from_label("mts-rawdist", graph="dic", lam=2.0, w=2),
+]
+
+
+@pytest.mark.parametrize("flaw", ["none", "empty-document", "slim-document", "missing-document"])
+def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, flaw, monkeypatch):
+    vocab, corpus, _ = synth_world
+    topics = sorted({j.topic for j in filtered_synth})[:2]
+    judgements = [j for j in filtered_synth if j.topic in topics]
+    docs = dict(corpus.documents)
+    first_topic = sorted(j.doc for j in judgements if j.topic == topics[0])
+    for victim in (first_topic[2], first_topic[-3]):  # two, so that which fails first shows
+        if flaw == "empty-document":
+            docs[victim] = Document(id=victim, annotations=())
+        elif flaw == "slim-document":  # no major terms: slim mts fails on it, the rest score it
+            docs[victim] = Document(id=victim, annotations=tuple(
+                dataclasses.replace(a, is_major=False) for a in docs[victim].annotations))
+        elif flaw == "missing-document":
+            del docs[victim]
+    corpus = Corpus(documents=docs)
+    artifacts = ArtifactSet(vocab=vocab, corpus=corpus)
+    protocol = {"iterations": 4, "sample_size": 3, "seed": 11}
+    for config in BENCH_CONFIGS:
+        batched = _bench_outcome(lambda: run_benchmark(corpus, judgements, artifacts.scorer(config), **protocol))
+        alone = _bench_outcome(lambda: _per_pair_benchmark(corpus, judgements, artifacts.scorer(config), **protocol))
+        assert batched == alone, config.tag()
+        assert isinstance(batched[0], type) == (flaw != "none" and (flaw != "slim-document" or config.slim))
+    if flaw == "none":  # a source whose batch holds every cell is asked for none of them
+        source = ScoreSource(corpus, artifacts.scorer(BENCH_CONFIGS[-1]))
+        source.fill(itertools.combinations(sorted(corpus.documents), 2))
+        asked = []
+        monkeypatch.setattr(ScoreSource, "__call__", lambda self, a, b: asked.append((a, b)))
+        assert classification_test(judgements, source, **protocol).total > 0 and not asked
+
+
+def test_classification_asks_a_score_source_only_what_it_lacks_in_loop_order(
+        synth_world, filtered_synth, monkeypatch):
+    _, corpus, _ = synth_world
+    iterations, sample_size, seed = 4, 3, 5
+    pairs = list(itertools.combinations(sorted({j.doc for j in filtered_synth}), 2))
+    random.Random(5).shuffle(pairs)
+    source = ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
+    source.fill(pairs[: len(pairs) // 2])
+    topics: dict = {}
+    for j in filtered_synth:
+        topics.setdefault(j.topic, {})[j.doc] = j.level == Level.RELEVANT
+
+    def draw(topic: str, iteration: int):
+        docs = sorted(topics[topic])
+        r = random.Random(derive_substream_seed(seed, topic, iteration))
+        rel = stable_sample([d for d in docs if topics[topic][d]], sample_size, r)
+        return rel, stable_sample([d for d in docs if not topics[topic][d]], sample_size, r)
+
+    # the naive loop's first ask of each ordered pair, topic by topic; a cell the source
+    # holds when its topic starts, from the batch or an earlier topic, is not asked
+    held, expected, plain = set(source._memo), [], ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
+    totals = []
+    for topic in sorted(topics):
+        loop: dict = {}
+        totals.append(oracles.naive_classification(
+            {topic: topics[topic]}, draw, lambda a, b: loop.setdefault((a, b), plain(a, b)), iterations))
+        expected += [(a, b) for a, b in loop if pair_key(a, b) not in held]
+        held |= {pair_key(a, b) for a, b in loop}
+    asked: list = []
+    call = ScoreSource.__call__
+    monkeypatch.setattr(ScoreSource, "__call__", lambda self, a, b: asked.append((a, b)) or call(self, a, b))
+    confusion = classification_test(filtered_synth, source, iterations=iterations,
+                                    sample_size=sample_size, seed=seed)
+    assert asked == expected
+    assert (confusion.tp, confusion.fp, confusion.tn, confusion.fn) == tuple(map(sum, zip(*totals)))
 
 
 def test_parameter_sweep_continues_after_failing_cell(synth_world, filtered_synth):

@@ -368,6 +368,28 @@ def test_store_copied_under_another_cache_name_is_rebuilt(synth_files, tmp_path,
     assert after_copy.read_bytes() == fresh.read_bytes()
 
 
+def test_dic_store_built_from_another_frequency_source_is_rebuilt(synth_files, tmp_path, caplog):
+    cache = tmp_path / "cache"
+    freq = tmp_path / "freq.tsv"
+    terms = sorted(parse_vocabulary(synth_files["vocab"]).terms)
+    freq.write_text("".join(f"{t}\t{i % 7}\n" for i, t in enumerate(terms)))
+    args = ("simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+            "--graph", "dic", "--lambda", "1", "--cache", cache)
+    from_table, fresh, after_copy = (tmp_path / f"{name}.tsv" for name in ("table", "fresh", "copy"))
+    assert run(*args, "--freq-table", freq, "--out", from_table) == 0
+    [table_store] = cache.glob("simmatrix-*.npz")
+    assert run(*args, "--out", fresh) == 0
+    [corpus_store] = set(cache.glob("simmatrix-*.npz")) - {table_store}
+    assert from_table.read_bytes() != fresh.read_bytes()
+    data = corpus_store.read_bytes()
+    shutil.copyfile(table_store, corpus_store)  # same graph, lambda and eps; other IC
+    caplog.clear()
+    assert run(*args, "--out", after_copy) == 0
+    assert corpus_store.name in caplog.text and "rebuilding" in caplog.text
+    assert corpus_store.read_bytes() == data
+    assert after_copy.read_bytes() == fresh.read_bytes()
+
+
 def test_ic_table_cached_for_another_vocabulary_is_rebuilt(synth_files, tmp_path, caplog):
     cache = tmp_path / "cache"
     (tmp_path / "vocab.jsonl").write_text('{"id": "t1", "label": "t1", "parents": []}\n')

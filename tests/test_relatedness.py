@@ -2,7 +2,9 @@ import io
 import itertools
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from vocabrel.model import Document
 from vocabrel.relatedness import (
     _CHUNK,
     MethodConfig,
+    _matrix_block,
     Scorer,
     matrix_distance_fn,
     mts,
@@ -474,3 +477,64 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
             assert type(forward[0]) is type(backward[0])
         else:
             assert {_fingerprint(o) for o in forward + backward} == {_fingerprint(forward[0])}
+
+
+# --- the term block scattered from the store's arrays ---------------------------
+
+BLOCK_IDS = ["a", "b", "c", "ß", "日本", "t1", "t10", "x\0", "y\0\0"]  # the NUL ids stay in memory
+LOG_ROUNDS_APART = 0.5699993338763802  # np.log gives it one ulp off math.log (x86-64, numpy 2)
+
+
+def _block_by_sim(sim, terms, pad) -> np.ndarray:
+    """The block as one ``sim`` call per pair of the terms would fill it, index 0 padding."""
+    block = np.full((len(terms) + 1, len(terms) + 1), pad)
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms[: i + 1]):
+            block[i + 1, j + 1] = block[j + 1, i + 1] = sim(a, b)
+    return block
+
+
+def _neg_distance_by_sim(matrix: SimMatrix):
+    """mts-rawdist's negated distance of two terms, from ``matrix.sim`` and the scalar math.log."""
+    lam = matrix.lam
+    longest = max((-lam * math.log(s) for s in matrix.entries.values()), default=0.0)
+    cutoff = -lam * math.log(matrix.eps) if matrix.eps > 0 else longest + 1.0
+
+    def neg_distance(a, b):
+        s = matrix.sim(a, b)
+        return 0.0 if a == b else -cutoff if s <= 0.0 else -min(cutoff, -lam * math.log(s))
+
+    return neg_distance
+
+
+@given(
+    st.dictionaries(
+        st.lists(st.sampled_from(BLOCK_IDS), min_size=2, max_size=2, unique=True).map(sorted).map(tuple),
+        st.one_of(st.sampled_from([1.0, "eps", LOG_ROUNDS_APART]), st.floats(1e-9, 1.0, exclude_min=True)),
+        max_size=20,
+    ),
+    st.sampled_from([0.0, 1e-4, 0.25]),
+    st.sampled_from([0.7, 1.0, 2.0]),
+    st.lists(st.lists(st.sampled_from(BLOCK_IDS + ["loose", "z"]), max_size=6), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_scattered_block_equals_the_block_filled_by_sim_calls(entries, eps, lam, batches, loaded):
+    # entries at eps, at 1.0 (a dic zero-weight edge), and corpus terms with no entry
+    entries = {key: (eps if s == "eps" else s) for key, s in entries.items()}
+    entries = {key: s for key, s in entries.items() if s > 0.0}
+    matrix = SimMatrix(kind="dic", lam=lam, eps=eps, n=len(BLOCK_IDS), entries=entries)
+    if loaded:
+        entries = {key: s for key, s in entries.items() if not any(t.endswith("\0") for t in key)}
+        buf = io.BytesIO()
+        replace(matrix, entries=entries).save(buf)
+        matrix = SimMatrix.load(io.BytesIO(buf.getvalue()))
+        assert matrix.entries == entries
+    for pad, raw in [(0.0, False), (-math.inf, False), (-math.inf, True)]:  # soft, mts, mts-rawdist
+        block = _matrix_block(matrix, pad, raw)
+        for batch in batches:
+            block.add(batch)
+        terms = list(block.index)
+        assert terms == list(dict.fromkeys(t for batch in batches for t in batch))
+        sim = _neg_distance_by_sim(matrix) if raw else matrix.sim
+        got = block.array[: len(terms) + 1, : len(terms) + 1]
+        assert got.tobytes() == _block_by_sim(sim, terms, pad).tobytes()  # -0.0 is not 0.0

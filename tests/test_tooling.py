@@ -21,6 +21,25 @@ def test_tracer_finds_every_wrapped_entry_point(tmp_path):
     assert json.loads(trace.read_text())["missing"] == []
 
 
+def test_traced_sweep_times_classification(tmp_path):
+    made = _script(tmp_path, "make_synthetic_data.py", "--out-dir", tmp_path / "world",
+                   "--topics", 2, "--docs-per-topic", 12)
+    assert made.returncode == 0, made.stderr
+    trace, world = tmp_path / "trace.json", tmp_path / "world"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace), "--", "sweep",
+         "--vocab", str(world / "vocab.jsonl"), "--corpus", str(world / "corpus.jsonl"),
+         "--judgements", str(world / "judgements.tsv"), "--preset", "reference9",
+         "--iterations", "3", "--sample-size", "3", "--out", str(tmp_path / "sweep.csv")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(trace.read_text())
+    assert traced["missing"] == []
+    assert traced["seconds"]["benchmark.classify_s"] > 0
+
+
 def _script(tmp_path, name, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
