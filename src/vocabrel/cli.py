@@ -71,7 +71,7 @@ from .relatedness import (
     read_scores,
     write_scores,
 )
-from .termgraph import SimMatrix, save_graph
+from .termgraph import ENTRY_RULE, SimMatrix, save_graph
 
 log = logging.getLogger("vocabrel")
 
@@ -176,7 +176,7 @@ class Workspace(ArtifactSet):
             inputs = [tokens["vocab"], tokens["restrict"]]
             if kind == "dic":
                 inputs.append(tokens["freqsrc"])
-            digest = _digest(*inputs)  # the store's header records it, and ``fits`` compares it
+            digest = _digest(*inputs, ENTRY_RULE)  # the store's header records it, ``fits`` compares it
             build = functools.partial(super().matrix, kind, lam, eps)
             self._matrices[key] = self._load_or_build(
                 "similarity matrix", ["simmatrix", kind, f"{lam:.17g}", f"{eps:.17g}", *inputs], ".npz",

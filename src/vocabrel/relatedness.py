@@ -11,13 +11,16 @@ Three families:
   directions with major terms weighted by w.  The raw-distance variant
   aggregates negated shortest-path distances instead of similarities.
 
-Soft cosine and mts score pairs in batches through one kernel.  Each
-document becomes a row of indices into a dense block of term similarities
-and a row of weights; each step gathers the blocks of ``_CHUNK`` pairs at
-once and adds up each pair's terms with ``np.cumsum``, which adds in strict
-sequence, in the order a scalar loop over the terms would.  Padding adds
-exact zeros or is masked, so a score is the same bits whichever pairs share
-its batch or step, and the same both ways round.
+All three score pairs in batches through one kernel.  Each document becomes
+a row of indices into a dense block of term similarities and a row of
+weights; each step gathers the blocks of ``_CHUNK`` pairs at once and adds
+up each pair's terms with ``np.cumsum``, which adds in strict sequence, in
+the order a scalar loop over the terms would.  Salton's cosine is the soft
+cosine with S = I, read as index equality, so it needs no block; its rows
+hold the terms in sorted order, and the count of shared (term, qualifier)
+dimensions is added after the term sum, as the scalar formula adds it.
+Padding adds exact zeros or is masked, so a score is the same bits whichever
+pairs share its batch or step, and the same both ways round.
 
 Scores are reported as computed, without clamping: the cosine of nonnegative
 vectors lands in [0, 1] up to float rounding, and raw-distance scores are
@@ -30,7 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,43 +68,6 @@ SimFn = Callable[[str, str], float]
 class RelatednessScore(NamedTuple):
     value: float
     method: str
-
-
-def _sparse_dot(x: Mapping, y: Mapping) -> float:
-    # fixed iteration order (sorted shared keys) so x.y == y.x bitwise and
-    # the soft cosine with a diagonal S reproduces this sum exactly
-    total = 0.0
-    for key in sorted(x.keys() & y.keys()):
-        total += x[key] * y[key]
-    return total
-
-
-class _SaltonDoc(NamedTuple):
-    term_part: Mapping
-    qual_part: Mapping
-    norm: float
-
-
-def _salton_prepare(vec: TermVector | QualifiedTermVector) -> _SaltonDoc:
-    if isinstance(vec, QualifiedTermVector):
-        xt, xq = vec.term_part, vec.qual_part
-    else:
-        xt, xq = vec, {}
-    return _SaltonDoc(xt, xq, math.sqrt(_sparse_dot(xt, xt) + _sparse_dot(xq, xq)))
-
-
-def _salton_pair(x: _SaltonDoc, y: _SaltonDoc) -> float:
-    if x.norm == 0.0 or y.norm == 0.0:
-        raise EmptyDocumentError("cosine of a zero vector")
-    dot = _sparse_dot(x.term_part, y.term_part) + _sparse_dot(x.qual_part, y.qual_part)
-    return dot / (x.norm * y.norm)
-
-
-def salton_cosine(
-    x: TermVector | QualifiedTermVector, y: TermVector | QualifiedTermVector
-) -> RelatednessScore:
-    """Cosine similarity of two sparse vectors."""
-    return RelatednessScore(_salton_pair(_salton_prepare(x), _salton_prepare(y)), "salton")
 
 
 _CHUNK = 256  # pairs per kernel step: the step's arrays stay a few MB
@@ -165,18 +131,11 @@ def _matrix_block(matrix: SimMatrix, pad: float, raw_distance: bool = False) -> 
 class _Row(NamedTuple):
     """A document prepared for the kernel."""
 
-    terms: list[int]  # block indices, in the order the sums run
+    terms: Sequence[int]  # block indices (salton: term indices), in the order the sums run
     weights: Sequence[float]
-    total: float  # soft x'Sx, mts the sum of the weights
-    key: object  # the smaller key goes first in a pair: soft (keys, weights), mts the id
-
-
-def _attempt(fn: Callable, *args, **kwargs):
-    """``fn``'s result, or the VocabrelError it raises."""
-    try:
-        return fn(*args, **kwargs)
-    except VocabrelError as exc:
-        return exc
+    total: float  # salton x'x, soft x'Sx, mts the sum of the weights
+    key: object  # the smaller goes first in a pair: soft (keys, weights), mts the id, salton ()
+    quals: frozenset = frozenset()  # salton: the (term, qualifier) dimensions
 
 
 def _in_order(terms: np.ndarray) -> np.ndarray:
@@ -185,11 +144,12 @@ def _in_order(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1] + 0.0
 
 
-def _score_rows(method: str, block: np.ndarray, rows: Sequence, pairs: Iterable[tuple[int, int]],
+def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, pairs: Iterable[tuple[int, int]],
                 ids: Sequence[str] = ()) -> list:
     """Each pair's score, or its exception: the first of its rows that is one, or x'Sx <= 0.
 
-    With the rows' document ``ids`` given, an x'Sx error names both documents.
+    Salton reads no ``block``: S = I is a test of index equality.  With the
+    rows' document ``ids`` given, a soft x'Sx error names both documents.
     """
     results: list = []
     todo = []  # (position in results, row index, row index)
@@ -201,7 +161,7 @@ def _score_rows(method: str, block: np.ndarray, rows: Sequence, pairs: Iterable[
                 error = NonPositiveQuadraticFormError(
                     (f"documents {ids[i]!r}, {ids[j]!r}: " if ids else "")
                     + f"non-positive quadratic form (x'Sx={rows[x].total!r}, y'Sy={rows[y].total!r})"
-                )
+                ) if method != "salton" else EmptyDocumentError("cosine of a zero vector")
             else:
                 todo.append((len(results), x, y))
         results.append(error)
@@ -218,17 +178,50 @@ def _score_rows(method: str, block: np.ndarray, rows: Sequence, pairs: Iterable[
         a, b = ra[start : start + _CHUNK], rb[start : start + _CHUNK]
         na, nb = lens[a].max(), lens[b].max()
         ia, wa, ib, wb = terms[a, :na], weights[a, :na], terms[b, :nb], weights[b, :nb]
-        sims = block[ia[:, :, None], ib[:, None, :]]
+        if method == "salton":  # padding meets only padding, and its weight is 0
+            sims = ia[:, :, None] == ib[:, None, :]
+        else:
+            sims = block[ia[:, :, None], ib[:, None, :]]
         if method == "mts":  # a padded row's maximum is masked; a padded column never wins
             best_a = np.where(ia > 0, sims.max(axis=2), 0.0)
             best_b = np.where(ib > 0, sims.max(axis=1), 0.0)
             num, den = _in_order(wa * best_a) + _in_order(wb * best_b), totals[a] + totals[b]
         else:
             num = _in_order((sims * wa[:, :, None]) * wb[:, None, :])
+            if method == "salton":  # the shared qualifier dimensions, counted after the term sum
+                num = num + [len(table[x].quals & table[y].quals) for x, y in zip(a, b)]
             den = np.sqrt(totals[a]) * np.sqrt(totals[b])
         for k, value in zip(at[start : start + _CHUNK].tolist(), (num / den).tolist()):
             results[k] = value
     return results
+
+
+def _alone(method: str, block: np.ndarray | None, rows: Sequence[_Row]) -> RelatednessScore:
+    """The score of the pair of two rows as a batch of one gives it, or the error it raises."""
+    (value,) = _score_rows(method, block, rows, [(0, 1)])
+    if isinstance(value, VocabrelError):
+        raise value
+    return RelatednessScore(value, method)
+
+
+def _salton_row(vec: TermVector | QualifiedTermVector, index: dict[TermId, int]) -> _Row:
+    """``vec``'s terms in sorted order, numbered from 1 in ``index``, and its qualifier dimensions."""
+    quals = frozenset()
+    if isinstance(vec, QualifiedTermVector):
+        vec, quals = vec.term_part, frozenset(vec.qual_part)
+    keys = sorted(vec)
+    terms = [index.setdefault(k, len(index) + 1) for k in keys] or [0]  # no terms: one of padding
+    weights = [vec[k] for k in keys] or [0.0]
+    total = float(_in_order(np.square(weights)[None])[0]) + len(quals)  # x'x; qualifiers weigh 1
+    return _Row(terms, weights, total, (), quals)
+
+
+def salton_cosine(
+    x: TermVector | QualifiedTermVector, y: TermVector | QualifiedTermVector
+) -> RelatednessScore:
+    """Cosine similarity of two sparse vectors."""
+    index: dict[TermId, int] = {}
+    return _alone("salton", None, [_salton_row(v, index) for v in (x, y)])
 
 
 def _soft_row(vec: TermVector, block: _Block) -> _Row:
@@ -251,10 +244,7 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
     block = _matrix_block(matrix, 0.0)
     block.add(chain(x, y))
-    (value,) = _score_rows("soft", block.array, [_soft_row(v, block) for v in (x, y)], [(0, 1)])
-    if isinstance(value, VocabrelError):
-        raise value
-    return RelatednessScore(value, "soft")
+    return _alone("soft", block.array, [_soft_row(v, block) for v in (x, y)])
 
 
 def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
@@ -284,9 +274,7 @@ def mts(
     sims = np.fromiter(map(sim, [terms[i] for i in later], [terms[j] for j in earlier]), float, len(later))
     block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0, 0.0)
     block.add(terms)
-    rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
-    (value,) = _score_rows("mts", block.array, rows, [(0, 1)])
-    return RelatednessScore(value, "mts")
+    return _alone("mts", block.array, [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)])
 
 
 def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
@@ -415,6 +403,7 @@ class Scorer:
     # id(document) -> (the document, kept so the id stays its own; its record or exception)
     _prepared: dict[int, tuple[Document, object]] = field(default_factory=dict, repr=False)
     _block: _Block | None = field(default=None, repr=False)  # soft, mts: the prepared terms
+    _index: dict[TermId, int] = field(default_factory=dict, repr=False)  # salton: the prepared terms
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -432,7 +421,7 @@ class Scorer:
         if cfg.method == "mts":
             return _mts_row(doc, cfg.w, cfg.slim, self._block)
         vec = document_vector(doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers)
-        return _salton_prepare(vec) if cfg.method == "salton" else _soft_row(vec, self._block)
+        return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block)
 
     def _prepare(self, docs: Sequence[Document]) -> list:
         """Each document's record, or the exception preparing it raised."""
@@ -440,29 +429,30 @@ class Scorer:
         if self._block is not None:
             self._block.add(a.term for d in fresh.values() for a in d.annotations)
         for key, doc in fresh.items():
-            self._prepared[key] = (doc, _attempt(self._record, doc))
+            try:
+                record = self._record(doc)
+            except VocabrelError as exc:
+                record = exc
+            self._prepared[key] = (doc, record)
         return [self._prepared[id(d)][1] for d in docs]
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
-        salton = self.config.method == "salton"
-        records = self._prepare((doc_a, doc_b)) if salton else self.score_pairs([(doc_a, doc_b)])
-        for record in records:
-            if isinstance(record, VocabrelError):
-                raise record.with_traceback(None)  # a stored exception; drop its old traceback
-        return _salton_pair(*records) if salton else records[0]
+        (value,) = self.score_pairs([(doc_a, doc_b)])
+        if isinstance(value, VocabrelError):
+            raise value.with_traceback(None)  # a stored exception; drop its old traceback
+        return value
 
     def score_pairs(self, pairs: Sequence[tuple[Document, Document]]) -> list[float | VocabrelError]:
         """Each pair's score, or the exception scoring it alone raises: the same bits as alone."""
         cfg = self.config
-        if cfg.method == "salton":  # no kernel: each pair is scored as asked alone
-            return [_attempt(self.score, a, b) for a, b in pairs]
         if cfg.method == "mts":  # mts prepares, and fails on, the smaller document id first
             pairs = [(b, a) if b.id < a.id else (a, b) for a, b in pairs]
         docs = list({id(d): d for pair in pairs for d in pair}.values())
         position = {id(d): k for k, d in enumerate(docs)}
         rows = self._prepare(docs)  # before reading the block: preparing may grow it
         index_pairs = [(position[id(a)], position[id(b)]) for a, b in pairs]
-        return _score_rows(cfg.method, self._block.array, rows, index_pairs, [d.id for d in docs])
+        block = None if self._block is None else self._block.array
+        return _score_rows(cfg.method, block, rows, index_pairs, [d.id for d in docs])
 
 
 PairScore = tuple[str, str, float]

@@ -252,6 +252,11 @@ def _arrays_sha256(arrays: Mapping[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
+# names the rule by which similarity_matrix picks an entry between two sources; a cache folds
+# it into the inputs digest a store records, so a store built under an earlier rule is rebuilt
+ENTRY_RULE = "entry-rule: an entry between two sources comes from the larger id's search"
+
+
 def similarity_matrix(
     graph: TermGraph,
     lam: float,
@@ -263,7 +268,10 @@ def similarity_matrix(
     With ``restrict`` given, only those terms (typically the terms occurring
     in the corpus) are search sources: a stored entry has at least one of them
     as an end, and each of their rows is complete, its other ends ranging over
-    the whole graph.  The result is identical for any source order.
+    the whole graph.  An entry between two sources holds what the search from
+    the larger id finds: the two directions' path sums can differ in the last
+    bit, and taking one of them always keeps the pruned store equal to the
+    unpruned one above eps.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -277,10 +285,11 @@ def similarity_matrix(
         if unknown:
             raise KeyError(f"unknown term {unknown[0]!r}")
     keep = (lambda d: math.exp(-d / lam) > eps) if eps > 0 else None
+    source_set = set(sources)
     entries: dict[tuple[TermId, TermId], float] = {}
     for src in sources:
         for node, d in single_source_distances(graph, src, keep=keep).items():
-            if node == src:
+            if node == src or (node > src and node in source_set):  # node's own search writes it
                 continue
             s = math.exp(-d / lam)
             if s > eps:

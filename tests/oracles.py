@@ -119,6 +119,28 @@ def naive_soft_cosine(x: dict, y: dict, sim) -> float:
     return form(x, y) / math.sqrt(form(x, x) * form(y, y))
 
 
+def sorted_dot(x: dict, y: dict) -> float:
+    """Sum of x[k] * y[k] over the shared keys, added one by one in sorted key order from 0.0."""
+    total = 0.0
+    for key in sorted(x.keys() & y.keys()):
+        total += x[key] * y[key]
+    return total
+
+
+def scalar_salton(x: tuple[dict, dict], y: tuple[dict, dict]) -> float:
+    """Salton's cosine of two (term part, qualifier part) vectors, as a scalar loop adds it up.
+
+    Each part's dot product runs over its shared keys in sorted order, and the
+    qualifier part's is added after the term part's.  A zero vector raises
+    ZeroDivisionError.
+    """
+
+    def dot(u, v):
+        return sorted_dot(u[0], v[0]) + sorted_dot(u[1], v[1])
+
+    return dot(x, y) / (math.sqrt(dot(x, x)) * math.sqrt(dot(y, y)))
+
+
 def naive_classification(topics: dict, draw, score, iterations: int) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn) of the max-similarity rule, asking ``score`` for every comparison.
 

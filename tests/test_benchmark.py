@@ -408,13 +408,36 @@ def test_run_benchmark_reproducible(synth_world, filtered_synth):
     )
 
 
+def _counting_scorer(scorer: Scorer) -> Counter:
+    """Count each document pair asked of ``scorer``, through ``score`` or ``score_pairs``.
+
+    A call made inside a counted one (``score`` scores a batch of one) is not counted again.
+    """
+    asked: Counter = Counter()
+    busy = []
+
+    def counting(fn, pairs_of):
+        def counted(*args):
+            if not busy:
+                asked.update(pair_key(a.id, b.id) for a, b in pairs_of(*args))
+            busy.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                busy.pop()
+
+        return counted
+
+    scorer.score = counting(scorer.score, lambda a, b: [(a, b)])
+    scorer.score_pairs = counting(scorer.score_pairs, lambda pairs: pairs)
+    return asked
+
+
 def test_run_benchmark_scores_each_document_pair_at_most_once(synth_world, filtered_synth):
     _, corpus, _ = synth_world
     scorer = Scorer(config=MethodConfig("salton"))
-    score, asked = _counting(scorer.score)
-    scorer.score = score
+    per_pair = _counting_scorer(scorer)
     run_benchmark(corpus, filtered_synth, scorer, iterations=5, sample_size=5, seed=3)
-    per_pair = Counter(pair_key(a.id, b.id) for a, b in asked.elements())
     assert per_pair and max(per_pair.values()) == 1
 
 

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from vocabrel import model
+from vocabrel import cli, model
 from vocabrel.benchmark import ArtifactSet
 from vocabrel.cli import main, reference_configs, sweep_configs
 from vocabrel.errors import VocabrelError
 from vocabrel.model import Corpus, Document, parse_vocabulary
 from vocabrel.relatedness import _CHUNK, MethodConfig
+from vocabrel.termgraph import ENTRY_RULE, SimMatrix
 
 from test_mesh import DESCRIPTORS, QUALIFIERS
 from util import rewrite_store
@@ -388,6 +389,26 @@ def test_dic_store_built_from_another_frequency_source_is_rebuilt(synth_files, t
     assert corpus_store.name in caplog.text and "rebuilding" in caplog.text
     assert corpus_store.read_bytes() == data
     assert after_copy.read_bytes() == fresh.read_bytes()
+
+
+def test_store_cached_under_the_earlier_entry_rule_is_rebuilt(synth_files, tmp_path, caplog, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+            "--graph", "dic", "--lambda", "1")
+    fresh, after = tmp_path / "fresh.tsv", tmp_path / "after.tsv"
+    assert run(*args, "--out", fresh) == 0
+    # cache the store as the earlier rule did: its header's inputs digest names no entry rule
+    digest = cli._digest
+    monkeypatch.setattr(cli, "_digest", lambda *parts: digest(*(p for p in parts if p != ENTRY_RULE)))
+    assert run(*args, "--cache", cache, "--out", tmp_path / "earlier.tsv") == 0
+    monkeypatch.undo()
+    [store] = cache.glob("simmatrix-*.npz")
+    earlier = SimMatrix.load(store).inputs
+    caplog.clear()
+    assert run(*args, "--cache", cache, "--out", after) == 0
+    assert f"cached similarity matrix {store.name} does not match the request, rebuilding" in caplog.text
+    assert SimMatrix.load(store).inputs not in ("", earlier)
+    assert after.read_bytes() == fresh.read_bytes()
 
 
 def test_ic_table_cached_for_another_vocabulary_is_rebuilt(synth_files, tmp_path, caplog):

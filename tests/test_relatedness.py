@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vocabrel.docvectors import document_vector, ic_weighted_vector
+from vocabrel.docvectors import QualifiedTermVector, document_vector, ic_weighted_vector
 from vocabrel.errors import (
     ConfigError,
     EmptyDocumentError,
@@ -66,6 +66,12 @@ def test_soft_fixture():
     assert soft_cosine({"t1": 1.0}, {"t2": 1.0}, matrix).value == pytest.approx(
         0.5, abs=1e-15
     )
+
+
+def test_salton_of_qualifier_dimensions_alone():
+    x = QualifiedTermVector(term_part={}, qual_part={("t1", "q1"): 1.0, ("t1", "q2"): 1.0})
+    y = QualifiedTermVector(term_part={}, qual_part={("t1", "q1"): 1.0})
+    assert salton_cosine(x, y).value == 1.0 / math.sqrt(2.0)
 
 
 def test_soft_with_identity_matrix_is_salton():
@@ -356,6 +362,9 @@ def test_scorer_prepares_a_new_document_under_a_known_id_afresh(method):
 # --- the batched kernel against the oracles ------------------------------------
 
 KERNEL_CONFIGS = {
+    "salton-binary": MethodConfig("salton", w=3),
+    "salton-ic": MethodConfig("salton", vector="ic", w=2),
+    "salton-ic-q": MethodConfig("salton", vector="ic", qualifiers=True, w=2),
     "soft-binary": MethodConfig("soft", graph="dic", lam=1.0, w=3),
     "soft-ic": MethodConfig("soft", vector="ic", graph="dic", lam=1.0, w=3),
     "mts": MethodConfig("mts", graph="dic", lam=1.0, w=3),
@@ -366,7 +375,7 @@ KERNEL_CONFIGS = {
 
 
 def _kernel_world(rng: random.Random):
-    """A random weighted graph, IC values (some 0), and documents over its terms.
+    """A random weighted graph, IC values (some 0), and documents over its terms, some qualified.
 
     Returns (graph, ic, documents, all-pairs distances by Floyd-Warshall).
     """
@@ -374,12 +383,15 @@ def _kernel_world(rng: random.Random):
     adj = oracles.random_weighted_adjacency(rng, parents)
     graph = TermGraph(kind="dic", adj={t: tuple(sorted(nbrs.items())) for t, nbrs in adj.items()})
     nodes = sorted(parents)
-    ic = ICTable(ic={t: rng.choice([0.0, 0.5, 1.0, 2.5]) for t in nodes},
+    # 0.1 rounds as products add up; the others are exact
+    ic = ICTable(ic={t: rng.choice([0.0, 0.1, 0.5, 1.0, 2.5]) for t in nodes},
                  aggregate={t: 1 for t in nodes}, denominator=1)
     docs = []
     for i in range(rng.randint(2, 7)):
         terms = rng.sample(nodes, rng.randint(1, min(5, len(nodes))))
-        docs.append(make_doc(f"d{i}", terms, majors=rng.sample(terms, rng.randint(0, len(terms)))))
+        qualifiers = {t: rng.sample(["q1", "q2", "q3"], rng.randint(0, 3)) for t in terms}
+        docs.append(make_doc(f"d{i}", terms, majors=rng.sample(terms, rng.randint(0, len(terms))),
+                             qualifiers=qualifiers))
     if rng.random() < 0.3:
         docs.append(Document(id=f"d{len(docs)}", annotations=()))
     return graph, ic, docs, oracles.floyd_warshall(nodes, adj)
@@ -421,18 +433,28 @@ def _oracle_score(config: MethodConfig, ic: ICTable, sim, doc_a: Document, doc_b
         base = ic.ic if config.vector == "ic" else dict.fromkeys(doc.term_ids(), 1.0)
         vectors.append({a.term: base[a.term] * (config.w if a.is_major else 1.0)
                         for a in doc.annotations})
+    if config.method == "salton":
+        quals = [{(a.term, q): 1.0 for a in d.annotations for q in a.qualifiers} if config.qualifiers
+                 else {} for d in (doc_a, doc_b)]
+        try:
+            return oracles.scalar_salton(*zip(vectors, quals))
+        except ZeroDivisionError:
+            return EmptyDocumentError, "cosine of a zero vector"
     if any(sum(v * sim(i, j) * u for i, v in x.items() for j, u in x.items()) <= 0 for x in vectors):
         return (NonPositiveQuadraticFormError,
                 f"documents {doc_a.id!r}, {doc_b.id!r}: non-positive quadratic form (x'Sx=")
     return oracles.naive_soft_cosine(*vectors, sim)
 
 
-def _same_outcome(got, want) -> None:
+def _same_outcome(got, want, bitwise: bool = False) -> None:
     if isinstance(want, tuple):
         assert type(got) is want[0] and str(got).startswith(want[1]), (got, want)
     else:
         assert not isinstance(got, Exception), got
-        assert got == pytest.approx(want, abs=1e-12)
+        if bitwise:
+            assert got.hex() == want.hex()
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def _outcome(score, *args):
@@ -454,12 +476,12 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
     graph, ic, docs, dist = _kernel_world(rng)
     pairs = [(a, b) for a in docs for b in docs]
     for config in KERNEL_CONFIGS.values():
-        matrix = similarity_matrix(graph, lam=config.lam, eps=config.eps)
+        matrix = similarity_matrix(graph, lam=config.lam, eps=config.eps) if config.uses_graph else None
         sim = _oracle_sim(config, dist)
         new_scorer = lambda: Scorer(config=config, ic=ic, matrix=matrix)
         batch = new_scorer().score_pairs(pairs)
-        for (a, b), got in zip(pairs, batch):
-            _same_outcome(got, _oracle_score(config, ic, sim, a, b))
+        for (a, b), got in zip(pairs, batch):  # salton: the scalar formula's bits
+            _same_outcome(got, _oracle_score(config, ic, sim, a, b), bitwise=config.method == "salton")
         # a pair alone, in a shuffled batch, and on both sides of a kernel step's end;
         # the filler pairs all score, so that the step holds _CHUNK of them
         a, b = rng.choice(pairs)
@@ -477,6 +499,34 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
             assert type(forward[0]) is type(backward[0])
         else:
             assert {_fingerprint(o) for o in forward + backward} == {_fingerprint(forward[0])}
+
+
+def test_salton_adds_the_qualifier_count_after_the_term_sum():
+    # the 0.1 weights round as they add up, so counting the shared qualifier dimensions
+    # into the running sum, before the terms or one by one after them, moves the last bit
+    ic = ICTable(ic=dict.fromkeys(["t1", "t2", "t3"], 0.1), aggregate={}, denominator=1)
+    a = make_doc("a", ["t1", "t2", "t3"], qualifiers={"t1": ["q1", "q2"], "t2": ["q1"]})
+    b = make_doc("b", ["t1", "t2"], qualifiers={"t1": ["q1", "q2"]})
+    config = MethodConfig("salton", vector="ic", qualifiers=True)
+    parts = [(v.term_part, v.qual_part) for v in (document_vector(d, True, ic, qualifiers=True) for d in (a, b))]
+    want = oracles.scalar_salton(*parts)
+    assert want.hex() == "0x1.a20bd700c2c3fp-1"
+    scorer = Scorer(config=config, ic=ic)
+    got = [scorer.score(a, b), scorer.score(b, a), *Scorer(config=config, ic=ic).score_pairs([(a, b), (b, a)])]
+    assert {value.hex() for value in got} == {want.hex()}
+
+
+def test_salton_zero_vector_fails_as_its_pair_is_scored():
+    # every term of "z" has IC 0; an empty document fails first, as it is prepared
+    ic = ICTable(ic={"t1": 0.0, "t2": 1.5}, aggregate={}, denominator=1)
+    zero, plain, empty = make_doc("z", ["t1"]), make_doc("p", ["t1", "t2"]), Document(id="e", annotations=())
+    pairs = [(zero, plain), (plain, zero), (zero, zero), (zero, empty), (empty, zero)]
+    want = [(EmptyDocumentError, "cosine of a zero vector")] * 3 + [(EmptyDocumentError, "empty document 'e'")] * 2
+    config = MethodConfig("salton", vector="ic")
+    alone = [_outcome(Scorer(config=config, ic=ic).score, a, b) for a, b in pairs]
+    batch = Scorer(config=config, ic=ic).score_pairs(pairs)
+    for got in (alone, batch):
+        assert [(type(e), str(e)) for e in got] == want
 
 
 # --- the term block scattered from the store's arrays ---------------------------

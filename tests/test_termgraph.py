@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vocabrel.errors import ParseError
 from vocabrel.infocontent import load_frequencies, load_ic_table, save_ic_table
@@ -332,6 +332,10 @@ def test_triangle_inequality(seed):
 
 
 @given(st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.1, 0.01]))
+# dic graphs whose path sums between two terms differ by one ulp in the two directions,
+# one of them just above eps and the other at or below it
+@example(9825, 1.0, 0.01)
+@example(490, 2.0, 0.1)
 def test_pruned_matrix_equals_unpruned(seed, lam, eps):
     for graph in _random_graphs(seed):
         pruned = similarity_matrix(graph, lam=lam, eps=eps)
