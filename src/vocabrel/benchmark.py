@@ -17,9 +17,10 @@ All sampling derives from one integer seed via per-(topic, iteration)
 SHA-256 substreams, so results do not depend on Python's hash randomization.
 
 ``run_benchmark`` scores every within-topic pair of judged documents in one
-batch, and the classification test reads each topic from one table of those
-scores: it gathers the cells of all iterations at once (iterations x
-classified documents x seeds), takes each half's maximum and counts the
+batch into a ``ScoreSource``, whose memo keeps each pair's score or error,
+so no pair is scored twice.  Classification reads each topic from one table
+of those scores: it gathers the cells of all iterations at once (iterations
+x classified documents x seeds), takes each half's maximum and counts the
 outcomes in one pass.  The draws depend only on the seed and the judgements,
 so a sweep draws them once for all its configurations.
 """
@@ -33,17 +34,16 @@ import hashlib
 import logging
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import MissingDataError, ParseError, VocabrelError
+from .errors import ParseError, VocabrelError
 from .infocontent import FreqTable, information_content, descendant_closure, term_frequencies
 from .model import Corpus, Vocabulary, _iter_lines, _open_out, _source_path
-from .relatedness import MethodConfig, Scorer
+from .relatedness import MethodConfig, Scorer, _score_ids
 from .termgraph import SimMatrix, build_ic_weighted_graph, build_unweighted_graph, similarity_matrix
 
 log = logging.getLogger(__name__)
@@ -163,12 +163,10 @@ def cliffs_delta(xs: Sequence[float], ys: Sequence[float]) -> float:
     """P(x > y) - P(x < y) over all cross pairs, via sorted ranks."""
     if not xs or not ys:
         raise ValueError("cliffs_delta needs two non-empty samples")
-    ys_sorted = sorted(ys)
-    m = len(ys_sorted)
-    total = 0
-    for x in xs:
-        total += bisect_left(ys_sorted, x) - (m - bisect_right(ys_sorted, x))
-    return total / (len(xs) * m)
+    ys_sorted, x = np.sort(np.asarray(ys, dtype=float)), np.asarray(xs, dtype=float)
+    below = np.searchsorted(ys_sorted, x, side="left")  # each x's count of smaller ys
+    above = len(ys_sorted) - np.searchsorted(ys_sorted, x, side="right")  # and of larger ys
+    return int((below - above).sum()) / (len(xs) * len(ys_sorted))
 
 
 @dataclass(frozen=True)
@@ -334,49 +332,42 @@ def _draws(seed: int, topic: str, relevant: tuple[str, ...], not_relevant: tuple
     return seeds, rest
 
 
-def _held_scores(docs: Sequence[str], memo: dict[tuple[str, str], float]) -> tuple[np.ndarray, np.ndarray]:
-    """The scores ``memo`` holds among the sorted ``docs`` as a mirrored table, and where it holds one."""
+def _held_scores(docs: Sequence[str], memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The scores (not errors) ``memo`` holds among the sorted ``docs`` as a mirrored table, and where."""
     n = len(docs)
     table, held = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
     if memo:
         found = [memo.get(pair) for pair in combinations(docs, 2)]  # each pair smaller id first
         i, j = np.triu_indices(n, 1)  # the same pairs, in the same order
-        has = np.array([value is not None for value in found], dtype=bool)
-        values = np.array([0.0 if value is None else value for value in found])
+        has = np.array([isinstance(value, float) for value in found], dtype=bool)
+        values = np.array([value if isinstance(value, float) else 0.0 for value in found])
         table[i, j] = table[j, i] = values
         held[i, j] = held[j, i] = has
     return table, held
 
 
 class ScoreSource:
-    """Memoized symmetric document-id scorer over a corpus."""
+    """Memoized symmetric document-id scorer over a corpus; the memo keeps each pair's score or error."""
 
     def __init__(self, corpus: Corpus, scorer: Scorer):
         self.corpus = corpus
         self.scorer = scorer
-        self._memo: dict[tuple[str, str], float] = {}
+        self._memo: dict[tuple[str, str], float | VocabrelError] = {}
 
     def __call__(self, id_a: str, id_b: str) -> float:
         key = pair_key(id_a, id_b)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        doc_a = self.corpus.documents.get(key[0])
-        doc_b = self.corpus.documents.get(key[1])
-        if doc_a is None or doc_b is None:
-            missing = key[0] if doc_a is None else key[1]
-            raise MissingDataError(f"judged document {missing!r} is not in the corpus")
-        value = self.scorer.score(doc_a, doc_b)
-        self._memo[key] = value
+        value = self._memo.get(key)
+        if value is None:  # a batch of one, without fill's deduplication
+            (value,) = _score_ids(self.corpus, [key], self.scorer)
+            self._memo[key] = value
+        if isinstance(value, VocabrelError):
+            raise value.with_traceback(None)  # a stored exception; drop its old traceback
         return value
 
     def fill(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Score the pairs in one batch; a pair that fails or names no document raises when asked."""
-        docs = self.corpus.documents
-        keys = [k for k in dict.fromkeys(pair_key(a, b) for a, b in pairs)
-                if k not in self._memo and k[0] in docs and k[1] in docs]
-        results = self.scorer.score_pairs([(docs[a], docs[b]) for a, b in keys])
-        self._memo.update((k, v) for k, v in zip(keys, results) if isinstance(v, float))
+        """Score the pairs not yet held in one batch, keeping each pair's score or error."""
+        keys = [k for k in dict.fromkeys(pair_key(a, b) for a, b in pairs) if k not in self._memo]
+        self._memo.update(zip(keys, _score_ids(self.corpus, keys, self.scorer)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ cosine with S = I, read as index equality, so it needs no block; its rows
 hold the terms in sorted order, and the count of shared (term, qualifier)
 dimensions is added after the term sum, as the scalar formula adds it.
 Padding adds exact zeros or is masked, so a score is the same bits whichever
-pairs share its batch or step, and the same both ways round.
+pairs share its batch or step, and the same both ways round.  ``_score_ids``
+looks document ids up for ``pairwise_scores`` and ``ScoreSource`` alike.
 
 Scores are reported as computed, without clamping: the cosine of nonnegative
 vectors lands in [0, 1] up to float rounding, and raw-distance scores are
@@ -41,6 +42,7 @@ from .docvectors import QualifiedTermVector, TermVector, document_vector
 from .errors import (
     ConfigError,
     EmptyDocumentError,
+    MissingDataError,
     NoMajorTermsError,
     NonPositiveQuadraticFormError,
     ParseError,
@@ -424,16 +426,16 @@ class Scorer:
         return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block)
 
     def _prepare(self, docs: Sequence[Document]) -> list:
-        """Each document's record, or the exception preparing it raised."""
-        fresh = {id(d): d for d in docs if id(d) not in self._prepared}
+        """Each of the distinct ``docs``' record, or the exception preparing it raised."""
+        fresh = [d for d in docs if id(d) not in self._prepared]
         if self._block is not None:
-            self._block.add(a.term for d in fresh.values() for a in d.annotations)
-        for key, doc in fresh.items():
+            self._block.add(a.term for d in fresh for a in d.annotations)
+        for doc in fresh:
             try:
                 record = self._record(doc)
             except VocabrelError as exc:
                 record = exc
-            self._prepared[key] = (doc, record)
+            self._prepared[id(doc)] = (doc, record)
         return [self._prepared[id(d)][1] for d in docs]
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
@@ -459,6 +461,15 @@ PairScore = tuple[str, str, float]
 PairError = tuple[str, str, str]
 
 
+def _score_ids(corpus: Corpus, pairs: Sequence[tuple[str, str]], scorer: Scorer) -> list[float | VocabrelError]:
+    """Each id pair's score or error; the pairs of documents the corpus holds go to ``scorer`` in one batch."""
+    docs = corpus.documents
+    scored = iter(scorer.score_pairs([(docs[a], docs[b]) for a, b in pairs if a in docs and b in docs]))
+    return [next(scored) if a in docs and b in docs
+            else MissingDataError(f"document {a if a not in docs else b!r} is not in the corpus")
+            for a, b in pairs]
+
+
 def pairwise_scores(
     corpus: Corpus,
     pairs: Iterable[tuple[str, str]],
@@ -467,16 +478,13 @@ def pairwise_scores(
 ) -> Iterator[PairScore]:
     """Score pairs a chunk at a time, as the result is consumed, yielding them in input order.
 
-    Scores are the same bits as scoring each pair alone.  A pair naming an
-    unknown document or failing to score goes to ``errors`` and is skipped.
+    Scores are the same bits as scoring each pair alone.  A pair naming a
+    document the corpus lacks, or failing to score, goes to ``errors`` and is
+    skipped; ``ScoreSource`` raises the same errors, from the same lookup.
     """
-    docs = corpus.documents
     pairs = iter(pairs)
     while chunk := list(islice(pairs, _CHUNK)):
-        known = [(a, b) for a, b in chunk if a in docs and b in docs]
-        scored = dict(zip(known, scorer.score_pairs([(docs[a], docs[b]) for a, b in known])))
-        for a, b in chunk:
-            value = scored[a, b] if (a, b) in scored else f"unknown document {a if a not in docs else b!r}"
+        for (a, b), value in zip(chunk, _score_ids(corpus, chunk, scorer)):
             if isinstance(value, float):
                 yield (a, b, value)
             elif errors is not None:

@@ -36,7 +36,7 @@ from vocabrel.benchmark import (
 )
 from vocabrel.errors import MissingDataError, ParseError, VocabrelError
 from vocabrel.model import Corpus, Document
-from vocabrel.relatedness import MethodConfig, Scorer
+from vocabrel.relatedness import MethodConfig, Scorer, pairwise_scores
 from vocabrel.termgraph import SimMatrix
 
 import oracles
@@ -118,6 +118,18 @@ def test_cliffs_delta_matches_naive(seed):
     xs = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.0]) for _ in range(rng.randint(1, 30))]
     ys = [rng.choice([0.0, 0.25, 0.5, 1.0, 2.0]) for _ in range(rng.randint(1, 30))]
     assert cliffs_delta(xs, ys) == oracles.naive_cliffs_delta(xs, ys)
+
+
+# ties, signed zeros, neighbouring floats and raw-distance negatives, among arbitrary values
+_DELTA_VALUES = st.one_of(
+    st.sampled_from([-3.5, -1.0, -0.0, 0.0, 0.1, math.nextafter(0.1, 1.0), 0.5, 1.0, math.inf]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@given(st.lists(_DELTA_VALUES, min_size=1, max_size=60), st.lists(_DELTA_VALUES, min_size=1, max_size=60))
+def test_cliffs_delta_is_the_naive_tally_to_the_bit(xs, ys):
+    assert cliffs_delta(xs, ys).hex() == oracles.naive_cliffs_delta(xs, ys).hex()
 
 
 @given(st.integers(0, 10_000))
@@ -443,10 +455,34 @@ def test_run_benchmark_scores_each_document_pair_at_most_once(synth_world, filte
 
 def test_score_source_memoizes_and_reports_missing():
     corpus = make_corpus(make_doc("d1", ["t1"]), make_doc("d2", ["t1", "t2"]))
-    source = ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
+    scorer = Scorer(config=MethodConfig("salton"))
+    asked = _counting_scorer(scorer)
+    source = ScoreSource(corpus, scorer)
     assert source("d1", "d2") == source("d2", "d1")
-    with pytest.raises(MissingDataError):
-        source("d1", "ghost")
+    for pair in [("d1", "ghost"), ("ghost", "d2")]:  # not asked of the scorer; the text pairwise_scores gives
+        with pytest.raises(MissingDataError, match="^document 'ghost' is not in the corpus$"):
+            source(*pair)
+    errors: list = []
+    assert list(pairwise_scores(corpus, [("ghost", "d2")], scorer, errors)) == []
+    assert errors == [("ghost", "d2", "document 'ghost' is not in the corpus")]
+    assert asked == Counter({("d1", "d2"): 1})
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["asked", "filled"])
+def test_score_source_raises_a_failing_pairs_error_each_time_and_asks_the_scorer_once(filled):
+    corpus = make_corpus(make_doc("d1", []), make_doc("d2", ["t1", "t2"]))
+    scorer = Scorer(config=MethodConfig("salton"))
+    asked = _counting_scorer(scorer)
+    source = ScoreSource(corpus, scorer)
+    if filled:
+        source.fill([("d2", "d1")])
+    raised = []
+    for a, b in [("d1", "d2"), ("d2", "d1")]:
+        with pytest.raises(VocabrelError) as exc:
+            source(a, b)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1] and raised[0][0] is not MissingDataError
+    assert asked == Counter({("d1", "d2"): 1})
 
 
 @pytest.mark.parametrize("config", [MethodConfig("soft", graph="g1", lam=1.0), MethodConfig("mts", graph="g1", lam=1.0)])
@@ -509,8 +545,11 @@ BENCH_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("flaw", ["none", "empty-document", "slim-document", "missing-document"])
-def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, flaw, monkeypatch):
+def _flawed_world(synth_world, filtered_synth, flaw: str):
+    """The first two topics of the synthetic world, two documents of the first given ``flaw``.
+
+    Returns the vocabulary, the flawed corpus and the two topics' judgements.
+    """
     vocab, corpus, _ = synth_world
     topics = sorted({j.topic for j in filtered_synth})[:2]
     judgements = [j for j in filtered_synth if j.topic in topics]
@@ -524,9 +563,18 @@ def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, fla
                 dataclasses.replace(a, is_major=False) for a in docs[victim].annotations))
         elif flaw == "missing-document":
             del docs[victim]
-    corpus = Corpus(documents=docs)
+    return vocab, Corpus(documents=docs), judgements
+
+
+FLAWS = ["none", "empty-document", "slim-document", "missing-document"]
+FLAW_PROTOCOL = {"iterations": 4, "sample_size": 3, "seed": 11}
+
+
+@pytest.mark.parametrize("flaw", FLAWS)
+def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, flaw, monkeypatch):
+    vocab, corpus, judgements = _flawed_world(synth_world, filtered_synth, flaw)
     artifacts = ArtifactSet(vocab=vocab, corpus=corpus)
-    protocol = {"iterations": 4, "sample_size": 3, "seed": 11}
+    protocol = FLAW_PROTOCOL
     for config in BENCH_CONFIGS:
         batched = _bench_outcome(lambda: run_benchmark(corpus, judgements, artifacts.scorer(config), **protocol))
         alone = _bench_outcome(lambda: _per_pair_benchmark(corpus, judgements, artifacts.scorer(config), **protocol))
@@ -538,6 +586,23 @@ def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, fla
         asked = []
         monkeypatch.setattr(ScoreSource, "__call__", lambda self, a, b: asked.append((a, b)))
         assert classification_test(judgements, source, **protocol).total > 0 and not asked
+
+
+@pytest.mark.parametrize("flaw", FLAWS)
+def test_run_benchmark_asks_the_scorer_once_for_each_within_topic_pair(synth_world, filtered_synth, flaw):
+    vocab, corpus, judgements = _flawed_world(synth_world, filtered_synth, flaw)
+    artifacts = ArtifactSet(vocab=vocab, corpus=corpus)
+    topics: dict = {}
+    for j in judgements:
+        topics.setdefault(j.topic, []).append(j.doc)
+    # a pair naming a document the corpus lacks is never asked
+    within = {pair for docs in topics.values() for pair in itertools.combinations(sorted(docs), 2)
+              if all(d in corpus.documents for d in pair)}
+    for config in BENCH_CONFIGS:
+        scorer = artifacts.scorer(config)
+        asked = _counting_scorer(scorer)
+        _bench_outcome(lambda: run_benchmark(corpus, judgements, scorer, **FLAW_PROTOCOL))
+        assert set(asked) == within and max(asked.values()) == 1, config.tag()
 
 
 def test_classification_asks_a_score_source_only_what_it_lacks_in_loop_order(

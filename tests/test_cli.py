@@ -689,3 +689,4 @@ def test_relate_pairs_naming_only_unknown_documents_are_errors(synth_files, tmp_
     ) == 0
     assert len(out.read_text().splitlines()) == 1 + known
     assert f"scored {known} of {known + 1} pairs (1 errors)" in caplog.text
+    assert f"pair skipped: {ids[0]}/ghost: document 'ghost' is not in the corpus" in caplog.text
