@@ -79,7 +79,8 @@ def commands(world: Path) -> list[list[str]]:
         cmds.append(["relate", *inputs, *config, "--out", f"relate-{name}.tsv"])
         cmds.append(["relate", *inputs, *config, *pairs, "--out", f"relate-{name}-pairs.tsv"])
         cmds.append(["stats", "--scores", f"relate-{name}.tsv", "--judgements",
-                     str(world / "judgements.tsv"), "--out", f"stats-{name}.tsv"])
+                     str(world / "judgements.tsv"), "--out", f"stats-{name}.tsv",
+                     "--dump-dist", f"stats-{name}.dist.tsv"])
     return cmds
 
 

@@ -16,13 +16,11 @@ Protocol, given per-topic relevance judgements over a corpus:
 All sampling derives from one integer seed via per-(topic, iteration)
 SHA-256 substreams, so results do not depend on Python's hash randomization.
 
-``run_benchmark`` scores every within-topic pair of judged documents in one
-batch into a ``ScoreSource``, whose memo keeps each pair's score or error,
-so no pair is scored twice.  Classification reads each topic from one table
-of those scores: it gathers the cells of all iterations at once (iterations
-x classified documents x seeds), takes each half's maximum and counts the
-outcomes in one pass.  The draws depend only on the seed and the judgements,
-so a sweep draws them once for all its configurations.
+``run_benchmark`` scores every distinct within-topic pair of judged documents
+in one batch into a mirrored table per topic, which both protocols gather
+from (``stats`` fills the same tables from a score file).  The draws depend
+only on the seed and the judgements, so a sweep draws them once for all its
+configurations.
 """
 
 from __future__ import annotations
@@ -134,34 +132,27 @@ class TopicPairSet:
         return len(self.same_topic) + len(self.separate_topic)
 
 
-def _levels_by_topic(judgements: Sequence[RelevanceJudgement]) -> dict[str, dict[str, Level]]:
-    """Each topic's judged documents and their levels, the topics in sorted order."""
+def _topics(judgements: Sequence[RelevanceJudgement]) -> list[tuple[str, list[str], np.ndarray]]:
+    """Each topic in sorted order, its judged documents in id order, and 1 for each relevant one, else 0."""
     by_topic: dict[str, dict[str, Level]] = {}
     for j in sorted(judgements, key=lambda j: j.topic):  # stable: a document's last level wins
         by_topic.setdefault(j.topic, {})[j.doc] = j.level
-    return by_topic
+    return [(topic, sorted(levels), np.array([levels[d] == Level.RELEVANT for d in sorted(levels)], np.intp))
+            for topic, levels in by_topic.items()]
 
 
 def build_pairs(judgements: Sequence[RelevanceJudgement]) -> TopicPairSet:
     """All within-topic pairs of judged documents, split by shared relevance."""
-    same: list[tuple[str, str, str]] = []
-    separate: list[tuple[str, str, str]] = []
-    for topic, levels in _levels_by_topic(judgements).items():
-        docs = sorted(levels)
-        for i, a in enumerate(docs):
-            rel_a = levels[a] == Level.RELEVANT
-            for b in docs[i + 1 :]:
-                rel_b = levels[b] == Level.RELEVANT
-                if rel_a and rel_b:
-                    same.append((topic, a, b))
-                elif rel_a or rel_b:
-                    separate.append((topic, a, b))
-    return TopicPairSet(same_topic=tuple(same), separate_topic=tuple(separate))
+    pairs: dict[int, list[tuple[str, str, str]]] = {0: [], 1: [], 2: []}  # by their count of relevant documents
+    for topic, docs, relevant in _topics(judgements):
+        for a, b in combinations(range(len(docs)), 2):
+            pairs[relevant[a] + relevant[b]].append((topic, docs[a], docs[b]))
+    return TopicPairSet(same_topic=tuple(pairs[2]), separate_topic=tuple(pairs[1]))
 
 
 def cliffs_delta(xs: Sequence[float], ys: Sequence[float]) -> float:
     """P(x > y) - P(x < y) over all cross pairs, via sorted ranks."""
-    if not xs or not ys:
+    if len(xs) == 0 or len(ys) == 0:
         raise ValueError("cliffs_delta needs two non-empty samples")
     ys_sorted, x = np.sort(np.asarray(ys, dtype=float)), np.asarray(xs, dtype=float)
     below = np.searchsorted(ys_sorted, x, side="left")  # each x's count of smaller ys
@@ -245,17 +236,54 @@ def stable_sample(pool: Sequence[str], k: int, rng: random.Random) -> list[str]:
     return items[:k]
 
 
-ScoreFn = Callable[[str, str], float]
-
-
 def pair_key(id_a: str, id_b: str) -> tuple[str, str]:
     """The order-free key of a document pair: its two ids, smaller first."""
     return (id_a, id_b) if id_a <= id_b else (id_b, id_a)
 
 
+class _TopicTable(NamedTuple):
+    """A topic's documents and their pairs' scores; a failed pair scores 0, is ``failed`` and has its error."""
+
+    topic: str
+    docs: list[str]  # in id order
+    relevant: np.ndarray  # 1 for each relevant document, else 0
+    scores: np.ndarray
+    failed: np.ndarray
+    errors: dict[tuple[int, int], VocabrelError]  # by the failed pair's positions, the smaller first
+
+
+def _score_tables(judgements: Sequence[RelevanceJudgement],
+                  score_ids: Callable[[list[tuple[str, str]]], list]) -> list[_TopicTable]:
+    """Each topic's mirrored score table, topics in sorted order.
+
+    ``score_ids`` scores every distinct within-topic pair, smaller id first,
+    in one list; a pair judged under several topics enters each table.
+    """
+    topics = _topics(judgements)
+    ids = sorted({d for _, docs, _ in topics for d in docs})  # positions keep id order
+    position = {d: k for k, d in enumerate(ids)}
+    triangles = [np.triu_indices(len(docs), 1) for _, docs, _ in topics]
+    codes = [np.array([position[d] for d in docs], np.int64) for _, docs, _ in topics]
+    codes = [at[i] * len(ids) + at[j] for at, (i, j) in zip(codes, triangles)]  # two positions per pair
+    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]))
+    values = score_ids([(ids[a], ids[b]) for a, b in np.stack(np.divmod(distinct, len(ids)), axis=1).tolist()])
+    ok = np.array([isinstance(v, float) for v in values], dtype=bool)
+    flat = np.array([v if isinstance(v, float) else 0.0 for v in values])
+    tables = []
+    for (topic, docs, relevant), (i, j), code in zip(topics, triangles, codes):
+        cell = np.searchsorted(distinct, code)
+        bad = ~ok[cell]
+        scores, failed = np.zeros((len(docs),) * 2), np.zeros((len(docs),) * 2, dtype=bool)
+        scores[i, j] = scores[j, i] = flat[cell]
+        failed[i, j] = failed[j, i] = bad
+        errors = {(a, b): values[c] for a, b, c in zip(i[bad].tolist(), j[bad].tolist(), cell[bad].tolist())}
+        tables.append(_TopicTable(topic, docs, relevant, scores, failed, errors))
+    return tables
+
+
 def classification_test(
     judgements: Sequence[RelevanceJudgement],
-    score_fn: ScoreFn,
+    score_fn: Callable[[str, str], float] | Sequence[_TopicTable],
     iterations: int = DEFAULT_ITERATIONS,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
@@ -266,84 +294,66 @@ def classification_test(
     ``sample_size`` not-relevant documents; a smaller topic is an error
     rather than a silent skip, so accuracy numbers stay comparable.
 
-    Each topic's scores form one table over its judged documents.  A
-    ``ScoreSource`` gives the cells its memo holds at once; every other cell
-    an iteration needs is asked of ``score_fn`` once, in the order a loop
-    over the iterations would first need it, and never mirrored.  The
-    decision then runs over all iterations together.
+    Each cell an iteration needs is asked of ``score_fn`` once, where a loop
+    over the iterations first needs it, and never mirrored.  ``run_benchmark``
+    passes its tables instead; the first failed cell a decision needs, in
+    (topic, iteration, classified document, seed) order, raises its error.
     """
     if iterations < 1 or sample_size < 1:
         raise ValueError("iterations and sample_size must be positive")
     if any(j.level == Level.POSSIBLY_RELEVANT for j in judgements):
         raise ValueError("classification_test expects filtered judgements (levels 0/2 only)")
-    topics = []
-    for topic, levels in _levels_by_topic(judgements).items():
-        docs = sorted(levels)
-        relevant = [d for d in docs if levels[d] == Level.RELEVANT]
-        not_relevant = [d for d in docs if levels[d] == Level.NOT_RELEVANT]
-        if len(relevant) < sample_size or len(not_relevant) < sample_size:
-            raise VocabrelError(
-                f"topic {topic!r} is too small to sample: "
-                f"{len(relevant)} relevant / {len(not_relevant)} not relevant, "
-                f"need {sample_size} of each"
-            )
-        topics.append((topic, levels, docs, relevant, not_relevant))
-    memo = score_fn._memo if isinstance(score_fn, ScoreSource) else {}
+    topics = _topics(judgements)
+    draws = [_draws(seed, topic, tuple(docs), tuple(relevant.tolist()), iterations, sample_size)
+             for topic, docs, relevant in topics]
+    tables = score_fn
+    if callable(score_fn):
+        tables = []
+        for (topic, docs, relevant), (seeds, rest) in zip(topics, draws):
+            n = len(docs)
+            scores, codes = np.zeros((n, n)), (rest[:, :, None] * n + seeds[:, None, :]).ravel()  # loop order
+            for code in codes[np.sort(np.unique(codes, return_index=True)[1])]:  # each cell at its first need
+                scores[code // n, code % n] = score_fn(docs[code // n], docs[code % n])
+            tables.append(_TopicTable(topic, docs, relevant, scores, np.zeros((n, n), dtype=bool), {}))
     outcomes = [np.zeros(0, np.intp)]  # 2 * predicted + actual of every classification
-    for topic, levels, docs, relevant, not_relevant in topics:
-        seeds, rest = _draws(seed, topic, tuple(relevant), tuple(not_relevant), iterations, sample_size)
-        cells = rest[:, :, None], seeds[:, None, :]  # iterations x rows x seeds
-        table, asked = _held_scores(docs, memo)  # table[i, j]: the score of docs[i], docs[j]
-        if not asked[cells].all():
-            for drawn, rows in zip(seeds, rest):
-                block = np.ix_(rows, drawn)
-                for i, j in zip(*np.nonzero(~asked[block])):
-                    table[rows[i], drawn[j]] = score_fn(docs[rows[i]], docs[drawn[j]])
-                asked[block] = True
-        scores = table[cells]
+    for table, (seeds, rest) in zip(tables, draws):
+        cells = rest[:, :, None], seeds[:, None, :]  # iterations x classified documents x seeds
+        needed = table.failed[cells]
+        if needed.any():
+            it, row, col = np.unravel_index(np.argmax(needed), needed.shape)
+            raise table.errors[tuple(sorted((rest[it, row], seeds[it, col])))].with_traceback(None)
+        scores = table.scores[cells]
         # the larger max-similarity wins; a tie goes to not relevant
         predicted = scores[..., :sample_size].max(axis=2) > scores[..., sample_size:].max(axis=2)
-        actual = np.array([levels[d] == Level.RELEVANT for d in docs])
-        outcomes.append((2 * predicted + actual[rest]).ravel())
+        outcomes.append((2 * predicted + table.relevant[rest]).ravel())
     tn, fn, fp, tp = map(int, np.bincount(np.concatenate(outcomes), minlength=4))
     return Confusion(tp, fp, tn, fn)
 
 
 @functools.lru_cache(maxsize=256)
-def _draws(seed: int, topic: str, relevant: tuple[str, ...], not_relevant: tuple[str, ...],
+def _draws(seed: int, topic: str, docs: tuple[str, ...], relevant: tuple[int, ...],
            iterations: int, sample_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Each iteration's seed documents and the documents left to classify, as read-only rows.
 
-    Both are positions among the topic's sorted documents: the seeds in the
+    Both are positions among the topic's sorted ``docs``: the seeds in the
     order drawn, relevant first, the rest in sorted order.  The draws depend
     on no configuration, so a sweep computes them once for all its cells.
     """
-    docs = sorted(relevant + not_relevant)
+    pools = [d for d, r in zip(docs, relevant) if r], [d for d, r in zip(docs, relevant) if not r]
+    if min(map(len, pools)) < sample_size:
+        raise VocabrelError(f"topic {topic!r} is too small to sample: {len(pools[0])} relevant / "
+                            f"{len(pools[1])} not relevant, need {sample_size} of each")
     index = {d: i for i, d in enumerate(docs)}
     seeds = np.empty((iterations, 2 * sample_size), np.intp)
     rest = np.empty((iterations, len(docs) - 2 * sample_size), np.intp)
     for iteration in range(iterations):
         rng = random.Random(derive_substream_seed(seed, topic, iteration))
-        drawn = stable_sample(relevant, sample_size, rng) + stable_sample(not_relevant, sample_size, rng)
+        drawn = stable_sample(pools[0], sample_size, rng) + stable_sample(pools[1], sample_size, rng)
         sampled = set(drawn)
         seeds[iteration] = [index[d] for d in drawn]
         rest[iteration] = [i for i, d in enumerate(docs) if d not in sampled]
     seeds.flags.writeable = rest.flags.writeable = False
     return seeds, rest
-
-
-def _held_scores(docs: Sequence[str], memo: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The scores (not errors) ``memo`` holds among the sorted ``docs`` as a mirrored table, and where."""
-    n = len(docs)
-    table, held = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-    if memo:
-        found = [memo.get(pair) for pair in combinations(docs, 2)]  # each pair smaller id first
-        i, j = np.triu_indices(n, 1)  # the same pairs, in the same order
-        has = np.array([isinstance(value, float) for value in found], dtype=bool)
-        values = np.array([value if isinstance(value, float) else 0.0 for value in found])
-        table[i, j] = table[j, i] = values
-        held[i, j] = held[j, i] = has
-    return table, held
 
 
 class ScoreSource:
@@ -357,17 +367,12 @@ class ScoreSource:
     def __call__(self, id_a: str, id_b: str) -> float:
         key = pair_key(id_a, id_b)
         value = self._memo.get(key)
-        if value is None:  # a batch of one, without fill's deduplication
+        if value is None:  # a batch of one
             (value,) = _score_ids(self.corpus, [key], self.scorer)
             self._memo[key] = value
         if isinstance(value, VocabrelError):
             raise value.with_traceback(None)  # a stored exception; drop its old traceback
         return value
-
-    def fill(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Score the pairs not yet held in one batch, keeping each pair's score or error."""
-        keys = [k for k in dict.fromkeys(pair_key(a, b) for a, b in pairs) if k not in self._memo]
-        self._memo.update(zip(keys, _score_ids(self.corpus, keys, self.scorer)))
 
 
 @dataclass(frozen=True)
@@ -388,19 +393,21 @@ class BenchResult:
     note: str = ""
 
 
-def _score_population(
-    triples: Sequence[tuple[str, str, str]],
-    source: ScoreFn,
-    errors: list[str],
-) -> list[float]:
-    """Score each (topic, doc_a, doc_b); a pair whose score raises goes to ``errors``."""
-    scores: list[float] = []
-    for topic, a, b in triples:
-        try:
-            scores.append(source(a, b))
-        except VocabrelError as exc:
-            errors.append(f"{topic}/{a}/{b}: {exc}")
-    return scores
+def _score_population(tables: Sequence[_TopicTable], n_relevant: int, errors: list[str]) -> np.ndarray:
+    """The scores of the pairs with ``n_relevant`` relevant documents: 2 same-topic, 1 separate-topic.
+
+    In ``build_pairs`` order; a failed pair goes to ``errors`` as ``topic/doc_a/doc_b: message``.
+    """
+    scores = [np.zeros(0)]
+    for table in tables:
+        i, j = np.triu_indices(len(table.docs), 1)
+        keep = table.relevant[i] + table.relevant[j] == n_relevant
+        i, j = i[keep], j[keep]
+        bad = table.failed[i, j]
+        errors.extend(f"{table.topic}/{table.docs[a]}/{table.docs[b]}: {table.errors[a, b]}"
+                      for a, b in zip(i[bad].tolist(), j[bad].tolist()))
+        scores.append(table.scores[i[~bad], j[~bad]])
+    return np.concatenate(scores)
 
 
 def log_skipped(errors: Sequence[str]) -> None:
@@ -449,25 +456,22 @@ def run_benchmark(
     treats a scoring failure as fatal since every comparison needs a value.
     If ``dump`` is given its two lists receive the same/separate populations.
     """
-    pairs = build_pairs(judgements)
-    source = ScoreSource(corpus, scorer)
-    # one batch over every within-topic pair of judged documents: both protocols read it
-    source.fill(pair for levels in _levels_by_topic(judgements).values()
-                for pair in combinations(sorted(levels), 2))
+    # one batch over every distinct within-topic pair of judged documents: both protocols read it
+    tables = _score_tables(judgements, lambda pairs: _score_ids(corpus, pairs, scorer))
     errors: list[str] = []
-    same_scores = _score_population(pairs.same_topic, source, errors)
-    sep_scores = _score_population(pairs.separate_topic, source, errors)
+    same_scores = _score_population(tables, 2, errors)
+    sep_scores = _score_population(tables, 1, errors)
     log_skipped(errors)
     if dump is not None:
-        dump[0].extend(same_scores)
-        dump[1].extend(sep_scores)
-    if not same_scores or not sep_scores:
+        dump[0].extend(same_scores.tolist())
+        dump[1].extend(sep_scores.tolist())
+    if len(same_scores) == 0 or len(sep_scores) == 0:
         raise VocabrelError(
             "benchmark needs both pair populations; got "
             f"{len(same_scores)} same-topic and {len(sep_scores)} separate-topic scores"
         )
     confusion = classification_test(
-        judgements, source, iterations=iterations, sample_size=sample_size, seed=seed
+        judgements, tables, iterations=iterations, sample_size=sample_size, seed=seed
     )
     return BenchResult(
         config=scorer.config,

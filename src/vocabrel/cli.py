@@ -38,7 +38,7 @@ from . import __version__
 from .benchmark import (
     ArtifactSet,
     _score_population,
-    build_pairs,
+    _score_tables,
     ccc,
     filter_topics,
     ingest_judgements,
@@ -441,23 +441,18 @@ def cmd_stats(args: argparse.Namespace) -> None:
             except ValueError as exc:
                 out_lines.append(("ccc_error", str(exc)))
     if args.judgements:
-
-        def stored(id_a: str, id_b: str) -> float:
-            value = map_a.get(pair_key(id_a, id_b))
-            if value is None:
-                raise MissingDataError(f"pair ({id_a}, {id_b}) is not in {args.scores}")
-            return value
-
-        pairs = build_pairs(_filtered_judgements(args))
+        tables = _score_tables(_filtered_judgements(args), lambda pairs: [
+            map_a[p] if p in map_a else MissingDataError(f"pair ({p[0]}, {p[1]}) is not in {args.scores}")
+            for p in pairs])
         missing: list[str] = []
-        same = _score_population(pairs.same_topic, stored, missing)
-        separate = _score_population(pairs.separate_topic, stored, missing)
+        same = _score_population(tables, 2, missing)
+        separate = _score_population(tables, 1, missing)
         out_lines += [
             ("n_same", str(len(same))),
             ("n_separate", str(len(separate))),
             ("n_missing_pairs", str(len(missing))),
         ]
-        if same and separate:
+        if len(same) and len(separate):
             out_lines += [(k, f"{v:.17g}") for k, v in separation_stats(same, separate).items()]
         if args.dump_dist:
             write_distributions(same, separate, args.dump_dist, header_tag=header_a)

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +23,7 @@ from vocabrel.benchmark import (
     derive_substream_seed,
     filter_topics,
     ingest_judgements,
+    log_skipped,
     mcc,
     pair_key,
     parameter_sweep,
@@ -31,7 +33,6 @@ from vocabrel.benchmark import (
     stable_sample,
     write_distributions,
     write_judgements,
-    _score_population,
     write_results_csv,
 )
 from vocabrel.errors import MissingDataError, ParseError, VocabrelError
@@ -105,11 +106,17 @@ def test_build_pairs_classification_of_pairs():
 
 def test_cliffs_delta_fixture():
     assert cliffs_delta([3, 3], [1, 2, 3]) == pytest.approx(4 / 6, abs=1e-15)
+    # numpy populations, as the benchmark's gathers give them, count as the lists do
+    for xs, ys in [([3.0, 3.0], [1.0, 2.0, 3.0]), ([1.0, 2.0], [0.5, 3.0])]:
+        expected = cliffs_delta(xs, ys)
+        assert cliffs_delta(np.array(xs), np.array(ys)) == cliffs_delta(np.array(xs), ys) == expected
 
 
 def test_cliffs_delta_empty_rejected():
-    with pytest.raises(ValueError):
-        cliffs_delta([], [1.0])
+    for xs, ys in [([], [1.0]), ([1.0], []), (np.array([]), np.array([1.0])), (np.array([1.0]), np.zeros(0))]:
+        with pytest.raises(ValueError, match="two non-empty samples"):
+            cliffs_delta(xs, ys)
+    assert cliffs_delta(np.array([0.0]), [1.0]) == -1.0  # one zero is a sample, not an empty one
 
 
 @given(st.integers(0, 10_000))
@@ -468,14 +475,11 @@ def test_score_source_memoizes_and_reports_missing():
     assert asked == Counter({("d1", "d2"): 1})
 
 
-@pytest.mark.parametrize("filled", [False, True], ids=["asked", "filled"])
-def test_score_source_raises_a_failing_pairs_error_each_time_and_asks_the_scorer_once(filled):
+def test_score_source_raises_a_failing_pairs_error_each_time_and_asks_the_scorer_once():
     corpus = make_corpus(make_doc("d1", []), make_doc("d2", ["t1", "t2"]))
     scorer = Scorer(config=MethodConfig("salton"))
     asked = _counting_scorer(scorer)
     source = ScoreSource(corpus, scorer)
-    if filled:
-        source.fill([("d2", "d1")])
     raised = []
     for a, b in [("d1", "d2"), ("d2", "d1")]:
         with pytest.raises(VocabrelError) as exc:
@@ -492,10 +496,6 @@ def test_score_source_fill_with_no_new_pair_scores_nothing(config):
     scorer = Scorer(config=config, matrix=matrix)
     assert scorer.score_pairs([]) == []
     source = ScoreSource(corpus, scorer)
-    source.fill([])
-    source.fill([("d1", "ghost"), ("ghost", "d2")])  # judged documents missing from the corpus
-    source.fill([("d1", "d2")])
-    source.fill([("d2", "d1"), ("d1", "d2")])  # every pair already scored
     assert source("d1", "d2") == scorer.score(corpus.documents["d1"], corpus.documents["d2"])
     with pytest.raises(MissingDataError):
         source("d1", "ghost")
@@ -521,12 +521,19 @@ def _bench_outcome(run) -> tuple:
 
 
 def _per_pair_benchmark(corpus, judgements, scorer, **protocol) -> BenchResult:
-    """``run_benchmark`` as every pair asked alone: no batch, and a plain score function."""
+    """``run_benchmark`` as every pair asked alone: no batch, no table, and a plain score function."""
     source = ScoreSource(corpus, scorer)
     pairs = build_pairs(judgements)
     errors: list = []
-    same = _score_population(pairs.same_topic, source, errors)
-    separate = _score_population(pairs.separate_topic, source, errors)
+    same: list = []
+    separate: list = []
+    for triples, scores in [(pairs.same_topic, same), (pairs.separate_topic, separate)]:
+        for topic, a, b in triples:
+            try:
+                scores.append(source(a, b))
+            except VocabrelError as exc:
+                errors.append(f"{topic}/{a}/{b}: {exc}")
+    log_skipped(errors)
     confusion = classification_test(judgements, lambda a, b: source(a, b), **protocol)
     return BenchResult(
         config=scorer.config, phi=mcc(confusion), **separation_stats(same, separate),
@@ -571,7 +578,7 @@ FLAW_PROTOCOL = {"iterations": 4, "sample_size": 3, "seed": 11}
 
 
 @pytest.mark.parametrize("flaw", FLAWS)
-def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, flaw, monkeypatch):
+def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, flaw):
     vocab, corpus, judgements = _flawed_world(synth_world, filtered_synth, flaw)
     artifacts = ArtifactSet(vocab=vocab, corpus=corpus)
     protocol = FLAW_PROTOCOL
@@ -580,12 +587,54 @@ def test_run_benchmark_equals_the_per_pair_path(synth_world, filtered_synth, fla
         alone = _bench_outcome(lambda: _per_pair_benchmark(corpus, judgements, artifacts.scorer(config), **protocol))
         assert batched == alone, config.tag()
         assert isinstance(batched[0], type) == (flaw != "none" and (flaw != "slim-document" or config.slim))
-    if flaw == "none":  # a source whose batch holds every cell is asked for none of them
-        source = ScoreSource(corpus, artifacts.scorer(BENCH_CONFIGS[-1]))
-        source.fill(itertools.combinations(sorted(corpus.documents), 2))
-        asked = []
-        monkeypatch.setattr(ScoreSource, "__call__", lambda self, a, b: asked.append((a, b)))
-        assert classification_test(judgements, source, **protocol).total > 0 and not asked
+
+
+def _skipped_lines(caplog) -> list[str]:
+    lines = [r.getMessage() for r in caplog.records if r.name == "vocabrel.benchmark"]
+    caplog.clear()
+    return [line for line in lines if line.startswith(("pair skipped: ", "... and "))]
+
+
+@pytest.mark.parametrize("flaw", ["empty-document", "missing-document"])
+def test_run_benchmark_logs_the_skipped_pairs_of_the_per_pair_path(synth_world, filtered_synth, flaw, caplog):
+    vocab, corpus, judgements = _flawed_world(synth_world, filtered_synth, flaw)
+    artifacts = ArtifactSet(vocab=vocab, corpus=corpus)
+    caplog.set_level("WARNING", logger="vocabrel.benchmark")
+    for config in BENCH_CONFIGS:
+        _bench_outcome(lambda: run_benchmark(corpus, judgements, artifacts.scorer(config), **FLAW_PROTOCOL))
+        batched = _skipped_lines(caplog)
+        _bench_outcome(lambda: _per_pair_benchmark(corpus, judgements, artifacts.scorer(config), **FLAW_PROTOCOL))
+        alone = _skipped_lines(caplog)
+        assert batched == alone, config.tag()
+        assert len(batched) == 11 and batched[-1].startswith("... and "), config.tag()
+
+
+def test_a_pair_judged_under_two_topics_is_scored_once_and_enters_both_populations():
+    docs = {"a": ["t1", "t2"], "b": ["t2", "t3"], "c": ["t1"], "d": ["t3", "t4"], "e": ["t2", "t4"],
+            "f": ["t4"]}
+    corpus = make_corpus(*(make_doc(d, terms) for d, terms in docs.items()))
+    levels = {"T1": {"a": 2, "b": 2, "c": 0, "d": 0},  # a, b relevant: a same-topic pair
+              "T2": {"a": 2, "b": 0, "e": 2, "f": 0},  # a relevant, b not: a separate-topic pair
+              "T3": {"a": 0, "b": 0, "c": 2, "e": 2}}  # neither relevant: in no population
+    judgements = [J(t, d, level) for t, by_doc in levels.items() for d, level in by_doc.items()]
+    pairs = build_pairs(judgements)
+    assert ("T1", "a", "b") in pairs.same_topic and ("T2", "a", "b") in pairs.separate_topic
+    assert ("T3", "a", "b") not in pairs.same_topic + pairs.separate_topic
+    matrix = SimMatrix(kind="g1", lam=1.0, eps=1e-4, n=4, entries={("t1", "t2"): 0.5, ("t3", "t4"): 0.25})
+    protocol = {"iterations": 3, "sample_size": 1, "seed": 2}
+    for config in [MethodConfig("salton"), MethodConfig("soft", graph="g1", lam=1.0),
+                   MethodConfig("mts", graph="g1", lam=1.0)]:
+        scorer = Scorer(config=config, matrix=None if config.method == "salton" else matrix)
+        asked = _counting_scorer(scorer)
+        dump: tuple = ([], [])
+        batched = _bench_outcome(lambda: run_benchmark(corpus, judgements, scorer, dump=dump, **protocol))
+        assert not isinstance(batched[0], type), batched
+        assert asked[("a", "b")] == 1 and max(asked.values()) == 1, config.tag()
+        ab = scorer.score(corpus.documents["a"], corpus.documents["b"]).hex()
+        assert dump[0][pairs.same_topic.index(("T1", "a", "b"))].hex() == ab
+        assert dump[1][pairs.separate_topic.index(("T2", "a", "b"))].hex() == ab
+        fresh = Scorer(config=config, matrix=scorer.matrix)
+        assert batched == _bench_outcome(lambda: _per_pair_benchmark(corpus, judgements, fresh, **protocol))
 
 
 @pytest.mark.parametrize("flaw", FLAWS)
@@ -607,12 +656,15 @@ def test_run_benchmark_asks_the_scorer_once_for_each_within_topic_pair(synth_wor
 
 def test_classification_asks_a_score_source_only_what_it_lacks_in_loop_order(
         synth_world, filtered_synth, monkeypatch):
+    # classification keeps its own table per topic: a score source is a plain score
+    # function, asked for each cell its topic needs once, whatever its memo holds
     _, corpus, _ = synth_world
     iterations, sample_size, seed = 4, 3, 5
     pairs = list(itertools.combinations(sorted({j.doc for j in filtered_synth}), 2))
     random.Random(5).shuffle(pairs)
     source = ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
-    source.fill(pairs[: len(pairs) // 2])
+    for a, b in pairs[: len(pairs) // 2]:
+        source(a, b)
     topics: dict = {}
     for j in filtered_synth:
         topics.setdefault(j.topic, {})[j.doc] = j.level == Level.RELEVANT
@@ -623,16 +675,14 @@ def test_classification_asks_a_score_source_only_what_it_lacks_in_loop_order(
         rel = stable_sample([d for d in docs if topics[topic][d]], sample_size, r)
         return rel, stable_sample([d for d in docs if not topics[topic][d]], sample_size, r)
 
-    # the naive loop's first ask of each ordered pair, topic by topic; a cell the source
-    # holds when its topic starts, from the batch or an earlier topic, is not asked
-    held, expected, plain = set(source._memo), [], ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
+    # the naive loop's first ask of each ordered pair, topic by topic; nothing is carried across topics
+    expected, plain = [], ScoreSource(corpus, Scorer(config=MethodConfig("salton")))
     totals = []
     for topic in sorted(topics):
         loop: dict = {}
         totals.append(oracles.naive_classification(
             {topic: topics[topic]}, draw, lambda a, b: loop.setdefault((a, b), plain(a, b)), iterations))
-        expected += [(a, b) for a, b in loop if pair_key(a, b) not in held]
-        held |= {pair_key(a, b) for a, b in loop}
+        expected += list(loop)
     asked: list = []
     call = ScoreSource.__call__
     monkeypatch.setattr(ScoreSource, "__call__", lambda self, a, b: asked.append((a, b)) or call(self, a, b))

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from vocabrel import cli, model
-from vocabrel.benchmark import ArtifactSet
+from vocabrel.benchmark import (
+    ArtifactSet, Level, build_pairs, filter_topics, ingest_judgements, pair_key, separation_stats,
+)
 from vocabrel.cli import main, reference_configs, sweep_configs
 from vocabrel.errors import VocabrelError
 from vocabrel.model import Corpus, Document, parse_vocabulary
-from vocabrel.relatedness import _CHUNK, MethodConfig
+from vocabrel.relatedness import _CHUNK, MethodConfig, read_scores, write_scores
 from vocabrel.termgraph import ENTRY_RULE, SimMatrix
 
 from test_mesh import DESCRIPTORS, QUALIFIERS
@@ -179,6 +182,45 @@ def test_stats_reports_the_bench_statistics(synth_files, tmp_path, capsys, metho
         ("skew_same", "skew_same"), ("skew_separate", "skew_sep"),
     ):
         assert report[stats_key] == row[csv_key], stats_key
+
+
+def test_stats_counts_only_the_population_pairs_missing_from_the_score_file(synth_files, tmp_path, capsys):
+    full, scores = tmp_path / "full.tsv", tmp_path / "scores.tsv"
+    report, dump = tmp_path / "report.tsv", tmp_path / "dump.tsv"
+    assert run("relate", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+               "--method", "salton", "--vector", "ic", "--w", "2", "--out", full) == 0
+    header, rows = read_scores(full)
+    value = {pair_key(a, b): v for a, b, v in rows}
+    judgements, _ = filter_topics(ingest_judgements(synth_files["judgements"]))
+    pairs = build_pairs(judgements)
+    population = pairs.same_topic + pairs.separate_topic
+    in_population = {(a, b) for _, a, b in population}
+    levels = {(j.topic, j.doc): j.level for j in judgements}
+    by_topic: dict = {}
+    for j in judgements:
+        by_topic.setdefault(j.topic, []).append(j.doc)
+    # pairs judged, but with no relevant document under any of their topics
+    neither = [(a, b) for t, docs in sorted(by_topic.items()) for a, b in itertools.combinations(sorted(docs), 2)
+               if Level.RELEVANT not in (levels[t, a], levels[t, b]) and (a, b) not in in_population]
+    deleted = {(a, b) for _, a, b in pairs.same_topic[3:7] + pairs.separate_topic[-5:]}
+    deleted |= set(neither[:4])
+    kept = [(a, b, v) for a, b, v in rows if pair_key(a, b) not in deleted]
+    assert len(rows) - len(kept) == len(deleted) == 13
+    write_scores(scores, header, kept)
+    capsys.readouterr()
+    assert run("stats", "--scores", scores, "--judgements", synth_files["judgements"],
+               "--out", report, "--dump-dist", dump) == 0
+    got = dict(line.split("\t") for line in report.read_text().splitlines()[1:])
+    same = [value[a, b] for _, a, b in pairs.same_topic if (a, b) not in deleted]
+    separate = [value[a, b] for _, a, b in pairs.separate_topic if (a, b) not in deleted]
+    # a deleted pair judged under several topics is missing from each of their populations
+    missing = sum((a, b) in deleted for _, a, b in population)
+    assert got["n_missing_pairs"] == str(missing) and missing >= 9
+    assert (got["n_same"], got["n_separate"]) == (str(len(same)), str(len(separate)))
+    for key, stat in separation_stats(same, separate).items():
+        assert got[key] == f"{stat:.17g}", key
+    assert dump.read_text().splitlines()[1:] == (
+        [f"same\t{v:.17g}" for v in same] + [f"separate\t{v:.17g}" for v in separate])
 
 
 def test_stats_dump_dist_without_judgements_writes_nothing(synth_files, tmp_path):
