@@ -242,7 +242,7 @@ def pair_key(id_a: str, id_b: str) -> tuple[str, str]:
 
 
 class _TopicTable(NamedTuple):
-    """A topic's documents and their pairs' scores; a failed pair scores 0, is ``failed`` and has its error."""
+    """A topic's documents and their pairs' scores; a failed pair scores nan, is ``failed`` and has its error."""
 
     topic: str
     docs: list[str]  # in id order
@@ -253,11 +253,14 @@ class _TopicTable(NamedTuple):
 
 
 def _score_tables(judgements: Sequence[RelevanceJudgement],
-                  score_ids: Callable[[list[tuple[str, str]]], list]) -> list[_TopicTable]:
+                  score_ids: Callable[[list[str], np.ndarray, np.ndarray], tuple]) -> list[_TopicTable]:
     """Each topic's mirrored score table, topics in sorted order.
 
-    ``score_ids`` scores every distinct within-topic pair, smaller id first,
-    in one list; a pair judged under several topics enters each table.
+    ``score_ids(ids, a, b)`` scores every distinct within-topic pair, as
+    positions ``a < b`` in the sorted ids, in one batch: it returns the
+    scores and, by position, each failed pair's error, as
+    ``Scorer.score_pairs`` does.  A pair judged under several topics enters
+    each table.
     """
     topics = _topics(judgements)
     ids = sorted({d for _, docs, _ in topics for d in docs})  # positions keep id order
@@ -265,18 +268,16 @@ def _score_tables(judgements: Sequence[RelevanceJudgement],
     triangles = [np.triu_indices(len(docs), 1) for _, docs, _ in topics]
     codes = [np.array([position[d] for d in docs], np.int64) for _, docs, _ in topics]
     codes = [at[i] * len(ids) + at[j] for at, (i, j) in zip(codes, triangles)]  # two positions per pair
-    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]))
-    values = score_ids([(ids[a], ids[b]) for a, b in np.stack(np.divmod(distinct, len(ids)), axis=1).tolist()])
-    ok = np.array([isinstance(v, float) for v in values], dtype=bool)
-    flat = np.array([v if isinstance(v, float) else 0.0 for v in values])
+    distinct, cells = np.unique(np.concatenate([np.zeros(0, np.int64), *codes]), return_inverse=True)
+    cells = np.split(cells, np.cumsum([len(code) for code in codes]))  # each topic's pairs in the batch
+    values, failures = score_ids(ids, *np.divmod(distinct, len(ids)))
     tables = []
-    for (topic, docs, relevant), (i, j), code in zip(topics, triangles, codes):
-        cell = np.searchsorted(distinct, code)
-        bad = ~ok[cell]
+    for (topic, docs, relevant), (i, j), cell in zip(topics, triangles, cells):
+        bad = np.isin(cell, list(failures))
         scores, failed = np.zeros((len(docs),) * 2), np.zeros((len(docs),) * 2, dtype=bool)
-        scores[i, j] = scores[j, i] = flat[cell]
+        scores[i, j] = scores[j, i] = np.take(values, cell)
         failed[i, j] = failed[j, i] = bad
-        errors = {(a, b): values[c] for a, b, c in zip(i[bad].tolist(), j[bad].tolist(), cell[bad].tolist())}
+        errors = {(a, b): failures[c] for a, b, c in zip(i[bad].tolist(), j[bad].tolist(), cell[bad].tolist())}
         tables.append(_TopicTable(topic, docs, relevant, scores, failed, errors))
     return tables
 
@@ -368,8 +369,8 @@ class ScoreSource:
         key = pair_key(id_a, id_b)
         value = self._memo.get(key)
         if value is None:  # a batch of one
-            (value,) = _score_ids(self.corpus, [key], self.scorer)
-            self._memo[key] = value
+            values, errors = _score_ids(self.corpus, key, [0], [1], self.scorer)
+            value = self._memo[key] = errors[0] if errors else float(values[0])
         if isinstance(value, VocabrelError):
             raise value.with_traceback(None)  # a stored exception; drop its old traceback
         return value
@@ -457,7 +458,7 @@ def run_benchmark(
     If ``dump`` is given its two lists receive the same/separate populations.
     """
     # one batch over every distinct within-topic pair of judged documents: both protocols read it
-    tables = _score_tables(judgements, lambda pairs: _score_ids(corpus, pairs, scorer))
+    tables = _score_tables(judgements, lambda ids, a, b: _score_ids(corpus, ids, a, b, scorer))
     errors: list[str] = []
     same_scores = _score_population(tables, 2, errors)
     sep_scores = _score_population(tables, 1, errors)

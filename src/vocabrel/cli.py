@@ -441,9 +441,12 @@ def cmd_stats(args: argparse.Namespace) -> None:
             except ValueError as exc:
                 out_lines.append(("ccc_error", str(exc)))
     if args.judgements:
-        tables = _score_tables(_filtered_judgements(args), lambda pairs: [
-            map_a[p] if p in map_a else MissingDataError(f"pair ({p[0]}, {p[1]}) is not in {args.scores}")
-            for p in pairs])
+        def stored(ids, a, b):  # the file's score of each pair; a pair it lacks is a MissingDataError
+            pairs = [(ids[x], ids[y]) for x, y in zip(a.tolist(), b.tolist())]
+            return [map_a.get(p, float("nan")) for p in pairs], {
+                k: MissingDataError(f"pair ({x}, {y}) is not in {args.scores}")
+                for k, (x, y) in enumerate(pairs) if (x, y) not in map_a}
+        tables = _score_tables(_filtered_judgements(args), stored)
         missing: list[str] = []
         same = _score_population(tables, 2, missing)
         separate = _score_population(tables, 1, missing)

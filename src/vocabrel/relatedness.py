@@ -20,8 +20,9 @@ cosine with S = I, read as index equality, so it needs no block; its rows
 hold the terms in sorted order, and the count of shared (term, qualifier)
 dimensions is added after the term sum, as the scalar formula adds it.
 Padding adds exact zeros or is masked, so a score is the same bits whichever
-pairs share its batch or step, and the same both ways round.  ``_score_ids``
-looks document ids up for ``pairwise_scores`` and ``ScoreSource`` alike.
+pairs share its batch or step, and the same both ways round.  A batch holds
+each document once and each pair as two positions; ``_score_ids`` looks each
+id up once for ``pairwise_scores``, ``ScoreSource`` and ``run_benchmark``.
 
 Scores are reported as computed, without clamping: the cosine of nonnegative
 vectors lands in [0, 1] up to float rounding, and raw-distance scores are
@@ -136,7 +137,7 @@ class _Row(NamedTuple):
     terms: Sequence[int]  # block indices (salton: term indices), in the order the sums run
     weights: Sequence[float]
     total: float  # salton x'x, soft x'Sx, mts the sum of the weights
-    key: object  # the smaller goes first in a pair: soft (keys, weights), mts the id, salton ()
+    key: object = ()  # soft: (keys, weights); the smaller goes first in a pair
     quals: frozenset = frozenset()  # salton: the (term, qualifier) dimensions
 
 
@@ -146,64 +147,70 @@ def _in_order(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms.reshape(len(terms), -1), axis=1)[:, -1] + 0.0
 
 
-def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, pairs: Iterable[tuple[int, int]],
-                ids: Sequence[str] = ()) -> list:
-    """Each pair's score, or its exception: the first of its rows that is one, or x'Sx <= 0.
+def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, a: Sequence[int], b: Sequence[int],
+                ids: Sequence[str] = ()) -> tuple[np.ndarray, dict[int, VocabrelError]]:
+    """The scores of the pairs of rows ``a[k]``, ``b[k]``, and by position each failed pair's exception.
 
-    Salton reads no ``block``: S = I is a test of index equality.  With the
-    rows' document ``ids`` given, a soft x'Sx error names both documents.
+    A pair fails, and scores nan, if a row of it is an exception (for mts,
+    the smaller document id's first) or has a total <= 0.  Only a soft sum
+    depends on which row goes first: the smaller key.  Salton reads no
+    ``block``: S = I is a test of index equality.  Given the rows' ``ids``, a
+    soft x'Sx error names both documents.
     """
-    results: list = []
-    todo = []  # (position in results, row index, row index)
-    for i, j in pairs:
-        error = next((r for r in (rows[i], rows[j]) if isinstance(r, VocabrelError)), None)
-        if error is None:
-            x, y = (j, i) if rows[j].key < rows[i].key else (i, j)  # same bits both ways round
-            if rows[x].total <= 0.0 or rows[y].total <= 0.0:  # an mts weight sum is at least 1
-                error = NonPositiveQuadraticFormError(
+    a, b = np.asarray(a, np.intp), np.asarray(b, np.intp)
+    values, errors, scored = np.full(len(a), np.nan), {}, np.arange(len(a))
+    failed = [k for k, r in enumerate(rows) if not isinstance(r, _Row) or r.total <= 0.0]  # mts totals are >= 1
+    if failed:
+        fail = np.isin(a, failed) | np.isin(b, failed)
+        for k, i, j in zip(np.flatnonzero(fail).tolist(), a[fail].tolist(), b[fail].tolist()):
+            if method == "mts" and ids[j] < ids[i]:
+                i, j = j, i
+            errors[k] = next((r for r in (rows[i], rows[j]) if not isinstance(r, _Row)), None)
+            if errors[k] is None:
+                x, y = (j, i) if rows[j].key < rows[i].key else (i, j)
+                errors[k] = NonPositiveQuadraticFormError(
                     (f"documents {ids[i]!r}, {ids[j]!r}: " if ids else "")
                     + f"non-positive quadratic form (x'Sx={rows[x].total!r}, y'Sy={rows[y].total!r})"
                 ) if method != "salton" else EmptyDocumentError("cosine of a zero vector")
-            else:
-                todo.append((len(results), x, y))
-        results.append(error)
-    if not todo:
-        return results
-    table = [r if isinstance(r, _Row) else _Row([0], [0.0], 0.0, None) for r in rows]  # failed: padding
-    lens = np.array([len(r.terms) for r in table])
-    terms, weights = np.zeros((len(table), lens.max()), np.intp), np.zeros((len(table), lens.max()))
-    for k, row in enumerate(table):
+        rows = [r if isinstance(r, _Row) else _Row([0], [0.0], 0.0) for r in rows]  # failed: padding
+        a, b, scored = a[~fail], b[~fail], scored[~fail]
+    if method == "soft":
+        order = sorted(range(len(rows)), key=lambda k: rows[k].key)
+        rows, rank = [rows[k] for k in order], np.array(order).argsort()
+        a, b = np.minimum(rank[a], rank[b]), np.maximum(rank[a], rank[b])
+    lens = np.array([len(r.terms) for r in rows], np.intp)
+    width = lens.max(initial=0)
+    terms, weights = np.zeros((len(rows), width), np.intp), np.zeros((len(rows), width))
+    for k, row in enumerate(rows):
         terms[k, : lens[k]], weights[k, : lens[k]] = row.terms, row.weights
-    totals = np.array([r.total for r in table])
-    at, ra, rb = map(np.array, zip(*todo))
-    for start in range(0, len(at), _CHUNK):
-        a, b = ra[start : start + _CHUNK], rb[start : start + _CHUNK]
-        na, nb = lens[a].max(), lens[b].max()
-        ia, wa, ib, wb = terms[a, :na], weights[a, :na], terms[b, :nb], weights[b, :nb]
+    totals = np.array([r.total for r in rows])
+    for start in range(0, len(a), _CHUNK):
+        x, y = a[start : start + _CHUNK], b[start : start + _CHUNK]
+        nx, ny = lens[x].max(), lens[y].max()
+        ix, wx, iy, wy = terms[x, :nx], weights[x, :nx], terms[y, :ny], weights[y, :ny]
         if method == "salton":  # padding meets only padding, and its weight is 0
-            sims = ia[:, :, None] == ib[:, None, :]
+            sims = ix[:, :, None] == iy[:, None, :]
         else:
-            sims = block[ia[:, :, None], ib[:, None, :]]
+            sims = block[ix[:, :, None], iy[:, None, :]]
         if method == "mts":  # a padded row's maximum is masked; a padded column never wins
-            best_a = np.where(ia > 0, sims.max(axis=2), 0.0)
-            best_b = np.where(ib > 0, sims.max(axis=1), 0.0)
-            num, den = _in_order(wa * best_a) + _in_order(wb * best_b), totals[a] + totals[b]
+            best_x = np.where(ix > 0, sims.max(axis=2), 0.0)
+            best_y = np.where(iy > 0, sims.max(axis=1), 0.0)
+            num, den = _in_order(wx * best_x) + _in_order(wy * best_y), totals[x] + totals[y]
         else:
-            num = _in_order((sims * wa[:, :, None]) * wb[:, None, :])
+            num = _in_order((sims * wx[:, :, None]) * wy[:, None, :])
             if method == "salton":  # the shared qualifier dimensions, counted after the term sum
-                num = num + [len(table[x].quals & table[y].quals) for x, y in zip(a, b)]
-            den = np.sqrt(totals[a]) * np.sqrt(totals[b])
-        for k, value in zip(at[start : start + _CHUNK].tolist(), (num / den).tolist()):
-            results[k] = value
-    return results
+                num = num + [len(rows[i].quals & rows[j].quals) for i, j in zip(x.tolist(), y.tolist())]
+            den = np.sqrt(totals[x]) * np.sqrt(totals[y])
+        values[scored[start : start + _CHUNK]] = num / den
+    return values, errors
 
 
 def _alone(method: str, block: np.ndarray | None, rows: Sequence[_Row]) -> RelatednessScore:
     """The score of the pair of two rows as a batch of one gives it, or the error it raises."""
-    (value,) = _score_rows(method, block, rows, [(0, 1)])
-    if isinstance(value, VocabrelError):
-        raise value
-    return RelatednessScore(value, method)
+    values, errors = _score_rows(method, block, rows, [0], [1])
+    if errors:
+        raise errors[0]
+    return RelatednessScore(float(values[0]), method)
 
 
 def _salton_row(vec: TermVector | QualifiedTermVector, index: dict[TermId, int]) -> _Row:
@@ -215,7 +222,7 @@ def _salton_row(vec: TermVector | QualifiedTermVector, index: dict[TermId, int])
     terms = [index.setdefault(k, len(index) + 1) for k in keys] or [0]  # no terms: one of padding
     weights = [vec[k] for k in keys] or [0.0]
     total = float(_in_order(np.square(weights)[None])[0]) + len(quals)  # x'x; qualifiers weigh 1
-    return _Row(terms, weights, total, (), quals)
+    return _Row(terms, weights, total, quals=quals)
 
 
 def salton_cosine(
@@ -258,7 +265,7 @@ def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
     if not annotations:
         raise NoMajorTermsError(f"document {doc.id!r} has no major terms")
     weights = [w if a.is_major else 1.0 for a in annotations]
-    return _Row([block.index[a.term] for a in annotations], weights, float(np.cumsum(weights)[-1]), doc.id)
+    return _Row([block.index[a.term] for a in annotations], weights, float(np.cumsum(weights)[-1]))
 
 
 def mts(
@@ -425,49 +432,54 @@ class Scorer:
         vec = document_vector(doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers)
         return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block)
 
-    def _prepare(self, docs: Sequence[Document]) -> list:
-        """Each of the distinct ``docs``' record, or the exception preparing it raised."""
+    def score(self, doc_a: Document, doc_b: Document) -> float:
+        values, errors = self.score_pairs([doc_a, doc_b], [0], [1])
+        if errors:
+            raise errors[0].with_traceback(None)  # a stored exception; drop its old traceback
+        return float(values[0])
+
+    def score_pairs(self, docs: Sequence[Document], a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, dict]:
+        """The scores of the pairs of ``docs`` at ``a[k]``, ``b[k]``, and by ``k`` each failed pair's exception.
+
+        A score has the same bits as the pair scored alone, either way round; a
+        failed pair scores nan, and its exception is the one it raises alone.
+        """
         fresh = [d for d in docs if id(d) not in self._prepared]
-        if self._block is not None:
-            self._block.add(a.term for d in fresh for a in d.annotations)
-        for doc in fresh:
+        if self._block is not None:  # before reading the block: preparing grows it
+            self._block.add(t.term for d in fresh for t in d.annotations)
+        for doc in fresh:  # each document's record, or the exception preparing it raised
             try:
                 record = self._record(doc)
             except VocabrelError as exc:
                 record = exc
             self._prepared[id(doc)] = (doc, record)
-        return [self._prepared[id(d)][1] for d in docs]
-
-    def score(self, doc_a: Document, doc_b: Document) -> float:
-        (value,) = self.score_pairs([(doc_a, doc_b)])
-        if isinstance(value, VocabrelError):
-            raise value.with_traceback(None)  # a stored exception; drop its old traceback
-        return value
-
-    def score_pairs(self, pairs: Sequence[tuple[Document, Document]]) -> list[float | VocabrelError]:
-        """Each pair's score, or the exception scoring it alone raises: the same bits as alone."""
-        cfg = self.config
-        if cfg.method == "mts":  # mts prepares, and fails on, the smaller document id first
-            pairs = [(b, a) if b.id < a.id else (a, b) for a, b in pairs]
-        docs = list({id(d): d for pair in pairs for d in pair}.values())
-        position = {id(d): k for k, d in enumerate(docs)}
-        rows = self._prepare(docs)  # before reading the block: preparing may grow it
-        index_pairs = [(position[id(a)], position[id(b)]) for a, b in pairs]
+        rows = [self._prepared[id(d)][1] for d in docs]
         block = None if self._block is None else self._block.array
-        return _score_rows(cfg.method, block, rows, index_pairs, [d.id for d in docs])
+        return _score_rows(self.config.method, block, rows, a, b, [d.id for d in docs])
 
 
 PairScore = tuple[str, str, float]
 PairError = tuple[str, str, str]
 
 
-def _score_ids(corpus: Corpus, pairs: Sequence[tuple[str, str]], scorer: Scorer) -> list[float | VocabrelError]:
-    """Each id pair's score or error; the pairs of documents the corpus holds go to ``scorer`` in one batch."""
+def _score_ids(corpus: Corpus, ids: Sequence[str], a: Sequence[int], b: Sequence[int],
+               scorer: Scorer) -> tuple[np.ndarray, dict[int, VocabrelError]]:
+    """``scorer.score_pairs`` over the documents of ``ids``, each id looked up once.
+
+    A pair naming an id the corpus lacks is not asked of ``scorer``: it fails
+    with ``MissingDataError``, which names the pair's first such id.
+    """
     docs = corpus.documents
-    scored = iter(scorer.score_pairs([(docs[a], docs[b]) for a, b in pairs if a in docs and b in docs]))
-    return [next(scored) if a in docs and b in docs
-            else MissingDataError(f"document {a if a not in docs else b!r} is not in the corpus")
-            for a, b in pairs]
+    if all(d in docs for d in ids):
+        return scorer.score_pairs([docs[d] for d in ids], a, b)
+    held, a, b = np.array([d in docs for d in ids]), np.asarray(a, np.intp), np.asarray(b, np.intp)
+    asked = held[a] & held[b]
+    values, at = np.full(len(a), np.nan), np.cumsum(held) - 1  # at: a held id's position among the held ids
+    values[asked], scored = scorer.score_pairs([docs[d] for d in ids if d in docs], at[a[asked]], at[b[asked]])
+    errors = dict(zip(np.flatnonzero(asked)[list(scored)].tolist(), scored.values()))
+    for k, i, j in zip(np.flatnonzero(~asked).tolist(), a[~asked].tolist(), b[~asked].tolist()):
+        errors[k] = MissingDataError(f"document {ids[i] if not held[i] else ids[j]!r} is not in the corpus")
+    return values, errors
 
 
 def pairwise_scores(
@@ -484,11 +496,13 @@ def pairwise_scores(
     """
     pairs = iter(pairs)
     while chunk := list(islice(pairs, _CHUNK)):
-        for (a, b), value in zip(chunk, _score_ids(corpus, chunk, scorer)):
-            if isinstance(value, float):
-                yield (a, b, value)
+        at = {d: k for k, d in enumerate(dict.fromkeys(chain.from_iterable(chunk)))}
+        values, failed = _score_ids(corpus, list(at), [at[x] for x, _ in chunk], [at[y] for _, y in chunk], scorer)
+        for k, ((x, y), value) in enumerate(zip(chunk, values.tolist())):
+            if k not in failed:
+                yield (x, y, value)
             elif errors is not None:
-                errors.append((a, b, str(value)))
+                errors.append((x, y, str(failed[k])))
 
 
 def write_scores(dest, tag: str, results: Iterable[PairScore]) -> int:
@@ -503,25 +517,37 @@ def write_scores(dest, tag: str, results: Iterable[PairScore]) -> int:
 
 
 def read_scores(source) -> tuple[str, list[PairScore]]:
-    """Inverse of write_scores; returns (header tag, rows)."""
+    """Inverse of write_scores; returns (header tag, rows).
+
+    A ``#method`` header after the first line, or a pair given again, either
+    way round, with a score of other bits, is a ``ParseError``.
+    """
     header = ""
     rows: list[PairScore] = []
+    seen: dict[tuple[str, str], float] = {}
     path = _source_path(source)
     for lineno, line in enumerate(_iter_lines(source), start=1):
         line = line.rstrip("\n")
         if not line:
             continue
         if line.startswith("#"):
-            if lineno == 1 and line.startswith("#method "):
+            if line.startswith("#method "):
+                if lineno > 1:
+                    raise ParseError("#method header after the first line", path=path, line=lineno)
                 header = line[len("#method ") :].strip()
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected doc_a<TAB>doc_b<TAB>score", path=path, line=lineno)
         try:
-            rows.append((parts[0], parts[1], float(parts[2])))
+            value = float(parts[2])
         except ValueError:
             raise ParseError(f"bad score {parts[2]!r}", path=path, line=lineno) from None
+        first = seen.setdefault((parts[0], parts[1]) if parts[0] <= parts[1] else (parts[1], parts[0]), value)
+        if first.hex() != value.hex():
+            raise ParseError(f"pair ({parts[0]}, {parts[1]}) scored {value!r} here, {first!r} before",
+                             path=path, line=lineno)
+        rows.append((parts[0], parts[1], value))
     return header, rows
 
 

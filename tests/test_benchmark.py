@@ -448,7 +448,8 @@ def _counting_scorer(scorer: Scorer) -> Counter:
         return counted
 
     scorer.score = counting(scorer.score, lambda a, b: [(a, b)])
-    scorer.score_pairs = counting(scorer.score_pairs, lambda pairs: pairs)
+    scorer.score_pairs = counting(scorer.score_pairs,
+                                  lambda docs, a, b: [(docs[i], docs[j]) for i, j in zip(a, b)])
     return asked
 
 
@@ -494,7 +495,8 @@ def test_score_source_fill_with_no_new_pair_scores_nothing(config):
     corpus = make_corpus(make_doc("d1", ["t1"]), make_doc("d2", ["t1", "t2"]))
     matrix = SimMatrix(kind="g1", lam=1.0, eps=1e-4, n=2, entries={("t1", "t2"): 0.5})
     scorer = Scorer(config=config, matrix=matrix)
-    assert scorer.score_pairs([]) == []
+    values, errors = scorer.score_pairs([], [], [])
+    assert len(values) == 0 and errors == {}
     source = ScoreSource(corpus, scorer)
     assert source("d1", "d2") == scorer.score(corpus.documents["d1"], corpus.documents["d2"])
     with pytest.raises(MissingDataError):

@@ -225,9 +225,13 @@ def test_document_major_term_ids():
     [
         (ingest_judgements, "#topic doc level\nq1\td1\t2\nq1\td2\n"),
         (read_scores, "#method salton\nd1\td2\t0.5\nd1\td2\n"),
+        (read_scores, "#method salton\nd1\td2\t0.5\n#method soft\nd1\td3\t0.1\n"),
+        (read_scores, "#method salton\nd1\td2\t0.5\nd2\td1\t0.9\n"),
+        (read_scores, "#method salton\nd1\td2\t0.0\nd1\td2\t-0.0\n"),
         (parse_mesh_records, "*NEWRECORD\nMH = Heart\nnot a field\n"),
     ],
-    ids=["judgements", "scores", "mesh"],
+    ids=["judgements", "scores", "scores-second-header", "scores-contradicting-pair", "scores-signed-zero",
+         "mesh"],
 )
 def test_loaders_report_the_path_of_a_pathlib_source(tmp_path, loader, text):
     path = tmp_path / "bad.tsv"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vocabrel.benchmark import ScoreSource
 from vocabrel.docvectors import QualifiedTermVector, document_vector, ic_weighted_vector
 from vocabrel.errors import (
     ConfigError,
@@ -34,7 +35,7 @@ from vocabrel.relatedness import (
 from vocabrel.termgraph import SimMatrix, TermGraph, similarity_matrix
 
 import oracles
-from util import dict_sim, make_corpus, make_doc
+from util import dict_sim, make_corpus, make_doc, score_doc_pairs
 
 
 def identity_matrix(n: int = 0) -> SimMatrix:
@@ -311,15 +312,35 @@ def test_scorer_reports_document_ids_on_guard_error():
 
 
 def test_pairwise_scores_order_and_worker_independence():
-    docs = [make_doc(f"d{i}", [f"t{1 + i % 4}", f"t{1 + (i * 2) % 5}"]) for i in range(9)]
-    corpus = make_corpus(*docs)
-    ids = sorted(corpus.documents)
-    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-    scorer = Scorer(config=MethodConfig("salton"))
-    single = list(pairwise_scores(corpus, pairs, scorer))
-    multi = list(pairwise_scores(corpus, pairs, scorer))
-    assert single == multi
-    assert [(a, b) for a, b, _ in single] == pairs
+    # every pair of 30 documents, an empty one and an unknown id, both ways round: several chunks,
+    # with a failing document and the unknown id on each side of the first two chunk boundaries
+    rng = random.Random(11)
+    matrix = sim_matrix({pair: rng.uniform(0.05, 0.9)
+                         for pair in itertools.combinations(TERM_POOL, 2) if rng.random() < 0.4})
+    docs = [make_doc(f"d{i:02d}", terms, majors=terms[:1])
+            for i, terms in enumerate(rng.sample(TERM_POOL, rng.randint(1, 4)) for _ in range(30))]
+    corpus = make_corpus(*docs, Document(id="empty", annotations=()))
+    ids = [*corpus.documents, "ghost"]
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    rng.shuffle(pairs)
+    for k, pair in zip([_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK],
+                       [("d00", "empty"), ("ghost", "d01"), ("d02", "ghost"), ("empty", "d03")]):
+        pairs.remove(pair)
+        pairs.insert(k, pair)
+    for config in [MethodConfig("salton", w=2), MethodConfig("soft", graph="g1", lam=1.0, w=3),
+                   MethodConfig("mts", graph="g1", lam=1.0, w=2)]:
+        new_scorer = lambda: Scorer(config=config, matrix=matrix if config.uses_graph else None)
+        errors: list = []
+        got = [(a, b, value.hex()) for a, b, value in pairwise_scores(corpus, pairs, new_scorer(), errors)]
+        source, want, want_errors = ScoreSource(corpus, new_scorer()), [], []
+        for a, b in pairs:  # each pair asked alone
+            try:
+                want.append((a, b, source(a, b).hex()))
+            except VocabrelError as exc:
+                want_errors.append((a, b, str(exc)))
+        assert len(pairs) > 3 * _CHUNK and len(want_errors) == 4 * (len(ids) - 1) - 2
+        assert got == want
+        assert errors == want_errors
 
 
 def test_pairwise_scores_collects_errors():
@@ -345,6 +366,10 @@ def test_scores_round_trip():
     header, rows = read_scores(io.StringIO(text))
     assert header.startswith("salton ")
     assert rows == [("d1", "d2", results[0][2])]
+    # a pair repeated with the same bits, either way round, stays legal
+    value = rows[0][2]
+    _, rows = read_scores(io.StringIO(text + f"d2\td1\t{value!r}\nd1\td2\t{value:.17g}\n"))
+    assert rows == [("d1", "d2", value), ("d2", "d1", value), ("d1", "d2", value)]
 
 
 @pytest.mark.parametrize("method", ["salton", "soft", "mts"])
@@ -356,7 +381,7 @@ def test_scorer_prepares_a_new_document_under_a_known_id_afresh(method):
     assert scorer.score(old_a, b) == pytest.approx(1.0, abs=1e-12)
     assert scorer.score(new_a, b) == 0.0
     fresh = Scorer(config=config, matrix=scorer.matrix)
-    assert fresh.score_pairs([(old_a, b), (new_a, b)]) == [scorer.score(old_a, b), 0.0]
+    assert score_doc_pairs(fresh, [(old_a, b), (new_a, b)]) == [scorer.score(old_a, b), 0.0]
 
 
 # --- the batched kernel against the oracles ------------------------------------
@@ -464,10 +489,16 @@ def _outcome(score, *args):
         return exc
 
 
-def _fingerprint(outcome) -> tuple:
-    if isinstance(outcome, Exception):
-        return type(outcome), str(outcome)
-    return float, outcome.hex()
+def _fingerprint(outcome) -> str:
+    """A score's bits, or an error's text: ``pairwise_scores`` reports only the text."""
+    return outcome.hex() if isinstance(outcome, float) else str(outcome)
+
+
+def _relate(corpus, scorer, a: str, b: str):
+    """The score ``pairwise_scores`` gives the one pair, or the text of its error."""
+    errors: list = []
+    scored = list(pairwise_scores(corpus, [(a, b)], scorer, errors))
+    return scored[0][2] if scored else errors[0][2]
 
 
 @given(st.integers(0, 10_000))
@@ -475,11 +506,12 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
     rng = random.Random(seed)
     graph, ic, docs, dist = _kernel_world(rng)
     pairs = [(a, b) for a in docs for b in docs]
+    corpus = make_corpus(*docs)
     for config in KERNEL_CONFIGS.values():
         matrix = similarity_matrix(graph, lam=config.lam, eps=config.eps) if config.uses_graph else None
         sim = _oracle_sim(config, dist)
         new_scorer = lambda: Scorer(config=config, ic=ic, matrix=matrix)
-        batch = new_scorer().score_pairs(pairs)
+        batch = score_doc_pairs(new_scorer(), pairs)
         for (a, b), got in zip(pairs, batch):  # salton: the scalar formula's bits
             _same_outcome(got, _oracle_score(config, ic, sim, a, b), bitwise=config.method == "salton")
         # a pair alone, in a shuffled batch, and on both sides of a kernel step's end;
@@ -489,14 +521,18 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
         scoring = [pair for pair, got in zip(pairs, batch) if isinstance(got, float)] or pairs
         boundary = [rng.choice(scoring) for _ in range(_CHUNK + 1)]
         boundary[_CHUNK - 1 : _CHUNK + 1] = [(a, b), (b, a)]
-        across = new_scorer().score_pairs(boundary)
+        across = score_doc_pairs(new_scorer(), boundary)
         forward = [_outcome(new_scorer().score, a, b), across[_CHUNK - 1],
-                   new_scorer().score_pairs(shuffled)[shuffled.index((a, b))]]
+                   score_doc_pairs(new_scorer(), shuffled)[shuffled.index((a, b))]]
         backward = [_outcome(new_scorer().score, b, a), across[_CHUNK]]
+        # by document id: relate asks in the order given, a ScoreSource the smaller id first
+        forward.append(_relate(corpus, new_scorer(), a.id, b.id))
+        backward.append(_relate(corpus, new_scorer(), b.id, a.id))
+        (forward if a.id <= b.id else backward).append(_outcome(ScoreSource(corpus, new_scorer()), b.id, a.id))
         if isinstance(forward[0], Exception):  # the message names the ids in the order asked
             assert {_fingerprint(o) for o in forward} == {_fingerprint(forward[0])}
             assert {_fingerprint(o) for o in backward} == {_fingerprint(backward[0])}
-            assert type(forward[0]) is type(backward[0])
+            assert {type(o) for o in forward + backward if not isinstance(o, str)} == {type(forward[0])}
         else:
             assert {_fingerprint(o) for o in forward + backward} == {_fingerprint(forward[0])}
 
@@ -512,7 +548,8 @@ def test_salton_adds_the_qualifier_count_after_the_term_sum():
     want = oracles.scalar_salton(*parts)
     assert want.hex() == "0x1.a20bd700c2c3fp-1"
     scorer = Scorer(config=config, ic=ic)
-    got = [scorer.score(a, b), scorer.score(b, a), *Scorer(config=config, ic=ic).score_pairs([(a, b), (b, a)])]
+    got = [scorer.score(a, b), scorer.score(b, a),
+           *score_doc_pairs(Scorer(config=config, ic=ic), [(a, b), (b, a)])]
     assert {value.hex() for value in got} == {want.hex()}
 
 
@@ -524,7 +561,7 @@ def test_salton_zero_vector_fails_as_its_pair_is_scored():
     want = [(EmptyDocumentError, "cosine of a zero vector")] * 3 + [(EmptyDocumentError, "empty document 'e'")] * 2
     config = MethodConfig("salton", vector="ic")
     alone = [_outcome(Scorer(config=config, ic=ic).score, a, b) for a, b in pairs]
-    batch = Scorer(config=config, ic=ic).score_pairs(pairs)
+    batch = score_doc_pairs(Scorer(config=config, ic=ic), pairs)
     for got in (alone, batch):
         assert [(type(e), str(e)) for e in got] == want
 

@@ -55,3 +55,11 @@ def rewrite_store(data: bytes, edit) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, header=np.array(json.dumps(header)), **arrays)
     return buf.getvalue()
+
+
+def score_doc_pairs(scorer, pairs) -> list:
+    """Each document pair's score, or its exception, from one ``Scorer.score_pairs`` batch."""
+    docs = list({id(d): d for pair in pairs for d in pair}.values())
+    at = {id(d): k for k, d in enumerate(docs)}
+    values, errors = scorer.score_pairs(docs, [at[id(a)] for a, _ in pairs], [at[id(b)] for _, b in pairs])
+    return [errors.get(k, value) for k, value in enumerate(values.tolist())]
