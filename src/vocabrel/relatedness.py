@@ -205,12 +205,12 @@ def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, a: Sequen
     return values, errors
 
 
-def _alone(method: str, block: np.ndarray | None, rows: Sequence[_Row]) -> RelatednessScore:
-    """The score of the pair of two rows as a batch of one gives it, or the error it raises."""
-    values, errors = _score_rows(method, block, rows, [0], [1])
+def _one(batch: tuple[np.ndarray, dict[int, VocabrelError]]) -> float:
+    """The score of a batch of one pair, or the exception the pair failed with, raised."""
+    values, errors = batch
     if errors:
-        raise errors[0]
-    return RelatednessScore(float(values[0]), method)
+        raise errors[0].with_traceback(None)  # maybe a stored exception; drop its old traceback
+    return float(values[0])
 
 
 def _salton_row(vec: TermVector | QualifiedTermVector, index: dict[TermId, int]) -> _Row:
@@ -230,7 +230,8 @@ def salton_cosine(
 ) -> RelatednessScore:
     """Cosine similarity of two sparse vectors."""
     index: dict[TermId, int] = {}
-    return _alone("salton", None, [_salton_row(v, index) for v in (x, y)])
+    rows = [_salton_row(v, index) for v in (x, y)]
+    return RelatednessScore(_one(_score_rows("salton", None, rows, [0], [1])), "salton")
 
 
 def _soft_row(vec: TermVector, block: _Block) -> _Row:
@@ -253,7 +254,8 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
     block = _matrix_block(matrix, 0.0)
     block.add(chain(x, y))
-    return _alone("soft", block.array, [_soft_row(v, block) for v in (x, y)])
+    rows = [_soft_row(v, block) for v in (x, y)]
+    return RelatednessScore(_one(_score_rows("soft", block.array, rows, [0], [1])), "soft")
 
 
 def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
@@ -283,7 +285,8 @@ def mts(
     sims = np.fromiter(map(sim, [terms[i] for i in later], [terms[j] for j in earlier]), float, len(later))
     block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0, 0.0)
     block.add(terms)
-    return _alone("mts", block.array, [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)])
+    rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
+    return RelatednessScore(_one(_score_rows("mts", block.array, rows, [0], [1])), "mts")
 
 
 def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
@@ -433,10 +436,7 @@ class Scorer:
         return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block)
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
-        values, errors = self.score_pairs([doc_a, doc_b], [0], [1])
-        if errors:
-            raise errors[0].with_traceback(None)  # a stored exception; drop its old traceback
-        return float(values[0])
+        return _one(self.score_pairs([doc_a, doc_b], [0], [1]))
 
     def score_pairs(self, docs: Sequence[Document], a: Sequence[int], b: Sequence[int]) -> tuple[np.ndarray, dict]:
         """The scores of the pairs of ``docs`` at ``a[k]``, ``b[k]``, and by ``k`` each failed pair's exception.
@@ -444,7 +444,7 @@ class Scorer:
         A score has the same bits as the pair scored alone, either way round; a
         failed pair scores nan, and its exception is the one it raises alone.
         """
-        fresh = [d for d in docs if id(d) not in self._prepared]
+        fresh = list({id(d): d for d in docs if id(d) not in self._prepared}.values())  # each once
         if self._block is not None:  # before reading the block: preparing grows it
             self._block.add(t.term for d in fresh for t in d.annotations)
         for doc in fresh:  # each document's record, or the exception preparing it raised
@@ -470,7 +470,7 @@ def _score_ids(corpus: Corpus, ids: Sequence[str], a: Sequence[int], b: Sequence
     with ``MissingDataError``, which names the pair's first such id.
     """
     docs = corpus.documents
-    if all(d in docs for d in ids):
+    if all(d in docs for d in ids):  # the path below would add some 40% to a lone ``ScoreSource`` ask
         return scorer.score_pairs([docs[d] for d in ids], a, b)
     held, a, b = np.array([d in docs for d in ids]), np.asarray(a, np.intp), np.asarray(b, np.intp)
     asked = held[a] & held[b]

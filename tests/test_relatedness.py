@@ -384,6 +384,20 @@ def test_scorer_prepares_a_new_document_under_a_known_id_afresh(method):
     assert score_doc_pairs(fresh, [(old_a, b), (new_a, b)]) == [scorer.score(old_a, b), 0.0]
 
 
+@pytest.mark.parametrize("method", ["salton", "soft", "mts"])
+def test_a_self_pair_prepares_its_document_once(method, monkeypatch):
+    config = MethodConfig(method, graph="g1", lam=1.0) if method != "salton" else MethodConfig(method)
+    matrix = identity_matrix() if config.uses_graph else None
+    built = []
+    record = Scorer._record
+    monkeypatch.setattr(Scorer, "_record", lambda self, doc: built.append(doc.id) or record(self, doc))
+    doc = make_doc("d1", ["t1", "t2"])
+    source = ScoreSource(make_corpus(doc), Scorer(config=config, matrix=matrix))
+    assert Scorer(config=config, matrix=matrix).score(doc, doc) == pytest.approx(1.0, abs=1e-12)
+    assert source("d1", "d1") == pytest.approx(1.0, abs=1e-12)
+    assert built == ["d1", "d1"]  # one record for each fresh scorer
+
+
 # --- the batched kernel against the oracles ------------------------------------
 
 KERNEL_CONFIGS = {
