@@ -208,6 +208,7 @@ def parse_vocabulary(source: str | Path | IO[str] | Iterable[str]) -> Vocabulary
     """
     path = _source_path(source)
     terms: dict[TermId, Term] = {}
+    lines: dict[TermId, int] = {}  # the line of each term's record
     qualifiers: set[QualifierId] = set()
     for lineno, line in enumerate(_iter_lines(source), start=1):
         rec = _record(line, path, lineno)
@@ -233,10 +234,11 @@ def parse_vocabulary(source: str | Path | IO[str] | Iterable[str]) -> Vocabulary
         if rid in parents:
             raise ParseError(f"term {rid!r} lists itself as parent", path, lineno)
         terms[rid] = Term(id=rid, label=str(rec.get("label", "")), parents=frozenset(parents))
+        lines[rid] = lineno
     for term in terms.values():
         for p in term.parents:
             if p not in terms:
-                raise ParseError(f"term {term.id!r} references unknown parent {p!r}", path)
+                raise ParseError(f"term {term.id!r} references unknown parent {p!r}", path, lines[term.id])
     if not terms:
         raise ParseError("vocabulary file contains no terms", path)
     return Vocabulary(terms, qualifiers)

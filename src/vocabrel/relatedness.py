@@ -19,10 +19,12 @@ the order a scalar loop over the terms would.  Salton's cosine is the soft
 cosine with S = I, read as index equality, so it needs no block; its rows
 hold the terms in sorted order, and the count of shared (term, qualifier)
 dimensions is added after the term sum, as the scalar formula adds it.
-Padding adds exact zeros or is masked, so a score is the same bits whichever
-pairs share its batch or step, and the same both ways round.  A batch holds
-each document once and each pair as two positions; ``_score_ids`` looks each
-id up once for ``pairwise_scores``, ``ScoreSource`` and ``run_benchmark``.
+Padding is an absent term, so a score is the same bits whichever pairs share
+its batch or step, and the same both ways round; and as rows keep their own
+term order, whichever soft or mts scorer, or ``soft_cosine``, added its terms
+to the store's one ``SimMatrix.block`` first.  A batch holds each document
+once and each pair as two positions; ``_score_ids`` looks each id up once for
+``pairwise_scores``, ``ScoreSource`` and ``run_benchmark``.
 
 Scores are reported as computed, without clamping: the cosine of nonnegative
 vectors lands in [0, 1] up to float rounding, and raw-distance scores are
@@ -51,7 +53,7 @@ from .errors import (
 )
 from .infocontent import ICTable
 from .model import Corpus, Document, TermId, _iter_lines, _open_out, _source_path
-from .termgraph import SimMatrix, StoreArrays
+from .termgraph import SimMatrix, StoreArrays, _Block
 
 # the parameters each method reads besides w; every other one keeps its default
 METHOD_PARAMS = {
@@ -74,61 +76,6 @@ class RelatednessScore(NamedTuple):
 
 
 _CHUNK = 256  # pairs per kernel step: the step's arrays stay a few MB
-
-
-class _Block:
-    """Dense values of a symmetric similarity among the terms added so far, indexed from 1.
-
-    The values come from a store's entry arrays: an entry's value, mirrored,
-    is its ``sim`` or ``value(sim)``; a pair with no entry holds ``absent``
-    and a term with itself ``self_value``, unless an entry joins the term to
-    itself.  Index 0 is padding: its row and column hold ``pad``, which adds
-    an exact zero to a soft-cosine sum (0) or never wins an mts maximum
-    (-inf).  Spare rows past the last term let batches add terms without a
-    copy each time.
-    """
-
-    def __init__(self, store: StoreArrays, pad: float, absent: float, self_value: float,
-                 value: Callable[[float], float] | None = None):
-        self.store, self.value = store, value
-        self.pad, self.absent, self.self_value = pad, absent, self_value
-        self.index: dict[TermId, int] = {}
-        self.array = np.full((1, 1), pad)
-        self._where = {t: k for k, t in enumerate(store.terms)}  # position in the store of each id
-        self._at = np.zeros(len(store.terms), np.int32)  # block index of each store id, 0 if none
-
-    def add(self, terms: Iterable[TermId]) -> None:
-        """Index each new term, its row and column scattered from the store's entries."""
-        old = len(self.index)
-        for t in terms:
-            self.index.setdefault(t, len(self.index) + 1)
-        new = len(self.index)
-        if new == old:
-            return
-        if new >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
-            grow = max(new + 1, len(self.array) * 5 // 4) - len(self.array)
-            self.array = np.pad(self.array, (0, grow), constant_values=self.pad)
-        fresh = np.arange(old + 1, new + 1)
-        self.array[old + 1 : new + 1, 1 : new + 1] = self.array[1 : new + 1, old + 1 : new + 1] = self.absent
-        self.array[fresh, fresh] = self.self_value
-        placed = [(self._where[t], k) for t, k in islice(self.index.items(), old, None) if t in self._where]
-        if not placed:  # no new term has an entry
-            return
-        self._at[[p for p, _ in placed]] = [k for _, k in placed]
-        ia, ib = self._at[self.store.a], self._at[self.store.b]
-        hit = np.flatnonzero((np.minimum(ia, ib) > 0) & (np.maximum(ia, ib) > old))  # one end new
-        ia, ib, sims = ia[hit], ib[hit], self.store.sim[hit]
-        if self.value is not None:
-            sims = np.fromiter(map(self.value, sims.tolist()), float, len(sims))
-        self.array[ia, ib] = self.array[ib, ia] = sims
-
-
-def _matrix_block(matrix: SimMatrix, pad: float, raw_distance: bool = False) -> _Block:
-    """An empty block over ``matrix``: its similarities, or the negated distances of mts-rawdist."""
-    if raw_distance:
-        neg_distance = _neg_distance_rule(matrix)
-        return _Block(matrix.arrays, pad, neg_distance(0.0), 0.0, neg_distance)
-    return _Block(matrix.arrays, pad, 0.0, 1.0)
 
 
 class _Row(NamedTuple):
@@ -174,6 +121,7 @@ def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, a: Sequen
                 ) if method != "salton" else EmptyDocumentError("cosine of a zero vector")
         rows = [r if isinstance(r, _Row) else _Row([0], [0.0], 0.0) for r in rows]  # failed: padding
         a, b, scored = a[~fail], b[~fail], scored[~fail]
+    quals = method == "salton" and any(r.quals for r in rows)
     if method == "soft":
         order = sorted(range(len(rows)), key=lambda k: rows[k].key)
         rows, rank = [rows[k] for k in order], np.array(order).argsort()
@@ -198,7 +146,7 @@ def _score_rows(method: str, block: np.ndarray | None, rows: Sequence, a: Sequen
             num, den = _in_order(wx * best_x) + _in_order(wy * best_y), totals[x] + totals[y]
         else:
             num = _in_order((sims * wx[:, :, None]) * wy[:, None, :])
-            if method == "salton":  # the shared qualifier dimensions, counted after the term sum
+            if quals:  # the shared qualifier dimensions, counted after the term sum
                 num = num + [len(rows[i].quals & rows[j].quals) for i, j in zip(x.tolist(), y.tolist())]
             den = np.sqrt(totals[x]) * np.sqrt(totals[y])
         values[scored[start : start + _CHUNK]] = num / den
@@ -252,10 +200,9 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
     """
     if isinstance(x, QualifiedTermVector) or isinstance(y, QualifiedTermVector):
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
-    block = _matrix_block(matrix, 0.0)
-    block.add(chain(x, y))
-    rows = [_soft_row(v, block) for v in (x, y)]
-    return RelatednessScore(_one(_score_rows("soft", block.array, rows, [0], [1])), "soft")
+    matrix.block.add(chain(x, y))
+    rows = [_soft_row(v, matrix.block) for v in (x, y)]
+    return RelatednessScore(_one(_score_rows("soft", matrix.block.array, rows, [0], [1])), "soft")
 
 
 def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
@@ -283,7 +230,7 @@ def mts(
     terms = list(dict.fromkeys(a.term for doc in (doc_a, doc_b) for a in doc.annotations))
     later, earlier = np.tril_indices(len(terms))  # every pair once, each term with itself too
     sims = np.fromiter(map(sim, [terms[i] for i in later], [terms[j] for j in earlier]), float, len(later))
-    block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0, 0.0)
+    block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0)  # sims may be negative
     block.add(terms)
     rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
     return RelatednessScore(_one(_score_rows("mts", block.array, rows, [0], [1])), "mts")
@@ -414,7 +361,7 @@ class Scorer:
     matrix: SimMatrix | None = None
     # id(document) -> (the document, kept so the id stays its own; its record or exception)
     _prepared: dict[int, tuple[Document, object]] = field(default_factory=dict, repr=False)
-    _block: _Block | None = field(default=None, repr=False)  # soft, mts: the prepared terms
+    _block: _Block | None = field(default=None, repr=False)  # the store's block; mts-rawdist: its own
     _index: dict[TermId, int] = field(default_factory=dict, repr=False)  # salton: the prepared terms
 
     def __post_init__(self) -> None:
@@ -425,8 +372,11 @@ class Scorer:
         if cfg.uses_graph:
             if self.matrix is None:
                 raise ConfigError(f"configuration {cfg.tag()!r} needs a similarity matrix")
-            pad = -math.inf if cfg.method == "mts" else 0.0
-            self._block = _matrix_block(self.matrix, pad, cfg.raw_distance)
+            if cfg.raw_distance:  # its own block, of negated distances
+                neg_distance = _neg_distance_rule(self.matrix)
+                self._block = _Block(self.matrix.arrays, neg_distance(0.0), 0.0, neg_distance)
+            else:
+                self._block = self.matrix.block
 
     def _record(self, doc: Document):
         cfg = self.config

@@ -12,14 +12,16 @@ Searches prune their frontier with the same ``exp(-d/lam) > eps`` predicate
 used for storage: cost is nondecreasing along the search, so no qualifying
 entry is lost and the pruned result equals the unpruned one.
 
-``SimMatrix.arrays`` holds a store's entries as arrays, the form scoring
-reads; ``save``/``load`` keep that form as ``.npz`` for the cache, checked
-against the entry count and SHA-256 in their header; ``export`` writes the
-sorted TSV form that the ``simmatrix`` command gives.
+``SimMatrix.arrays`` holds a store's entries as arrays, and ``SimMatrix.block``
+grows from them the dense similarities among the terms scored so far, one
+block per store; ``save``/``load`` keep the arrays as ``.npz`` for the cache,
+checked against the entry count and SHA-256 in their header; ``export``
+writes the sorted TSV form that the ``simmatrix`` command gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -28,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -142,6 +144,48 @@ class StoreArrays(NamedTuple):
     sim: np.ndarray  # float64 similarities
 
 
+class _Block:
+    """Dense values of a symmetric similarity among the terms added so far, indexed from 1.
+
+    An entry of the store, mirrored, holds its ``sim`` or ``value(sim)``; a
+    term with itself holds ``self_value`` unless an entry joins the two, and
+    any other pair ``absent``, the least value.  Index 0 and the spare rows
+    that let batches add terms without a copy hold it too: padding is absent.
+    """
+
+    def __init__(self, store: StoreArrays, absent: float, self_value: float,
+                 value: Callable[[float], float] | None = None):
+        self.store, self.absent, self.self_value, self.value = store, absent, self_value, value
+        self.index: dict[TermId, int] = {}
+        self.array = np.full((1, 1), absent)
+        self._where = {t: k for k, t in enumerate(store.terms)}  # position in the store of each id
+        self._at = np.zeros(len(store.terms), np.int32)  # block index of each store id, 0 if none
+
+    def add(self, terms: Iterable[TermId]) -> None:
+        """Index each new term, its row and column scattered from the store's entries."""
+        old = len(self.index)
+        for t in terms:
+            self.index.setdefault(t, len(self.index) + 1)
+        new = len(self.index)
+        if new == old:
+            return
+        if new >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
+            grow = max(new + 1, len(self.array) * 5 // 4) - len(self.array)
+            self.array = np.pad(self.array, (0, grow), constant_values=self.absent)
+        fresh = np.arange(old + 1, new + 1)
+        self.array[fresh, fresh] = self.self_value
+        placed = [(self._where[t], k) for t, k in islice(self.index.items(), old, None) if t in self._where]
+        if not placed:  # no new term has an entry
+            return
+        self._at[[p for p, _ in placed]] = [k for _, k in placed]
+        ia, ib = self._at[self.store.a], self._at[self.store.b]
+        hit = np.flatnonzero((np.minimum(ia, ib) > 0) & (np.maximum(ia, ib) > old))  # one end new
+        ia, ib, sims = ia[hit], ib[hit], self.store.sim[hit]
+        if self.value is not None:
+            sims = np.fromiter(map(self.value, sims.tolist()), float, len(sims))
+        self.array[ia, ib] = self.array[ib, ia] = sims
+
+
 @dataclass(frozen=True)
 class SimMatrix:
     """Sparse symmetric term-similarity matrix with an implicit unit diagonal.
@@ -183,6 +227,11 @@ class SimMatrix:
         return StoreArrays([ids[k] for k in order], rank[ends[0::2]], rank[ends[1::2]],
                            np.fromiter(self.entries.values(), np.float64, n_entries))
 
+    @cached_property
+    def block(self) -> _Block:
+        """The similarities among the terms scored so far, grown on demand; every soft and mts scorer reads it."""
+        return _Block(self.arrays, 0.0, 1.0)
+
     def save(self, dest: str | Path | IO[bytes]) -> None:
         """Write the ``.npz`` cache form: the arrays, and a header with their count and digest."""
         terms, a, b, sims = self.arrays
@@ -199,7 +248,8 @@ class SimMatrix:
         """Read the ``.npz`` cache form; a file that is cut, edited or incomplete raises ParseError."""
         path = _source_path(source)
         try:
-            with np.load(source, allow_pickle=False) as npz:
+            with open(source, "rb") if path else contextlib.nullcontext(source) as fh, \
+                    np.load(fh, allow_pickle=False) as npz:  # np.load leaves a bad zip it opens open
                 arrays = {name: npz[name] for name in _STORE_ARRAYS}
                 fields = json.loads(str(npz["header"]))
         except (OSError, KeyError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile) as exc:

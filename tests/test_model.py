@@ -229,9 +229,10 @@ def test_document_major_term_ids():
         (read_scores, "#method salton\nd1\td2\t0.5\nd2\td1\t0.9\n"),
         (read_scores, "#method salton\nd1\td2\t0.0\nd1\td2\t-0.0\n"),
         (parse_mesh_records, "*NEWRECORD\nMH = Heart\nnot a field\n"),
+        (parse_vocabulary, '{"id":"r"}\n{"id":"b","parents":["r"]}\n{"id":"a","parents":["zz"]}\n{"id":"c"}\n'),
     ],
     ids=["judgements", "scores", "scores-second-header", "scores-contradicting-pair", "scores-signed-zero",
-         "mesh"],
+         "mesh", "vocabulary-dangling-parent"],
 )
 def test_loaders_report_the_path_of_a_pathlib_source(tmp_path, loader, text):
     path = tmp_path / "bad.tsv"

@@ -22,7 +22,6 @@ from vocabrel.model import Document
 from vocabrel.relatedness import (
     _CHUNK,
     MethodConfig,
-    _matrix_block,
     Scorer,
     matrix_distance_fn,
     mts,
@@ -551,6 +550,44 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
             assert {_fingerprint(o) for o in forward + backward} == {_fingerprint(forward[0])}
 
 
+@given(st.integers(0, 10_000))
+def test_soft_and_mts_on_one_store_read_one_block_in_either_order(seed):
+    # each step adds its documents' terms to the store's block in its own order, and no score
+    # moves a bit from the same pairs scored on a copy of the store that no scorer has read
+    rng = random.Random(seed)
+    graph, ic, docs, _ = _kernel_world(rng)
+    store = similarity_matrix(graph, lam=1.0)
+    soft, mts_config = KERNEL_CONFIGS["soft-ic"], KERNEL_CONFIGS["mts"]
+
+    def soft_cosine_each(matrix, pairs):
+        vector = lambda doc: document_vector(doc, use_ic=True, ic=ic, w=soft.w)
+        return [_outcome(lambda x, y: soft_cosine(vector(x), vector(y), matrix).value, a, b) for a, b in pairs]
+
+    steps = {
+        "mts": lambda matrix, pairs: score_doc_pairs(Scorer(config=mts_config, ic=ic, matrix=matrix), pairs),
+        "soft": lambda matrix, pairs: score_doc_pairs(Scorer(config=soft, ic=ic, matrix=matrix), pairs),
+        "soft_cosine": soft_cosine_each,
+    }
+    every_pair = [(a, b) for a in docs for b in docs]
+    asked = {name: rng.sample(every_pair, rng.randint(1, len(every_pair))) for name in steps}
+    # soft_cosine reads no term of a pair whose vector fails to build
+    asked["soft_cosine"] = [(a, b) for a, b in asked["soft_cosine"] if not (a.is_empty or b.is_empty)]
+    rawdist = MethodConfig.from_label("mts-rawdist", graph="dic", lam=1.0, w=2)
+    for order in (list(steps), list(steps)[::-1]):
+        matrix, added = replace(store), set()
+        block = matrix.block
+        for name in order:
+            got, fresh = steps[name](matrix, asked[name]), steps[name](replace(store), asked[name])
+            assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in fresh]
+            added |= {t for pair in asked[name] for doc in pair for t in doc.term_ids()}
+            assert matrix.block is block and set(block.index) == added
+        for config in (soft, mts_config):
+            assert Scorer(config=config, ic=ic, matrix=matrix)._block is block
+        rawdist_scorer = Scorer(config=rawdist, ic=ic, matrix=matrix)
+        score_doc_pairs(rawdist_scorer, every_pair)
+        assert rawdist_scorer._block is not block and set(block.index) == added
+
+
 def test_salton_adds_the_qualifier_count_after_the_term_sum():
     # the 0.1 weights round as they add up, so counting the shared qualifier dimensions
     # into the running sum, before the terms or one by one after them, moves the last bit
@@ -586,9 +623,9 @@ BLOCK_IDS = ["a", "b", "c", "ß", "日本", "t1", "t10", "x\0", "y\0\0"]  # the 
 LOG_ROUNDS_APART = 0.5699993338763802  # np.log gives it one ulp off math.log (x86-64, numpy 2)
 
 
-def _block_by_sim(sim, terms, pad) -> np.ndarray:
-    """The block as one ``sim`` call per pair of the terms would fill it, index 0 padding."""
-    block = np.full((len(terms) + 1, len(terms) + 1), pad)
+def _block_by_sim(sim, terms, size) -> np.ndarray:
+    """The block as one ``sim`` call per pair of the terms would fill it; padding is an absent term."""
+    block = np.full((size, size), sim("loose", "z"))  # no entry holds either term
     for i, a in enumerate(terms):
         for j, b in enumerate(terms[: i + 1]):
             block[i + 1, j + 1] = block[j + 1, i + 1] = sim(a, b)
@@ -630,12 +667,12 @@ def test_scattered_block_equals_the_block_filled_by_sim_calls(entries, eps, lam,
         replace(matrix, entries=entries).save(buf)
         matrix = SimMatrix.load(io.BytesIO(buf.getvalue()))
         assert matrix.entries == entries
-    for pad, raw in [(0.0, False), (-math.inf, False), (-math.inf, True)]:  # soft, mts, mts-rawdist
-        block = _matrix_block(matrix, pad, raw)
+    config = MethodConfig("mts", graph="dic", lam=lam, eps=eps, raw_distance=True)
+    rawdist = Scorer(config=config, ic=ICTable(ic={}, aggregate={}, denominator=1), matrix=matrix)
+    for block, sim in [(matrix.block, matrix.sim), (rawdist._block, _neg_distance_by_sim(matrix))]:
         for batch in batches:
             block.add(batch)
         terms = list(block.index)
         assert terms == list(dict.fromkeys(t for batch in batches for t in batch))
-        sim = _neg_distance_by_sim(matrix) if raw else matrix.sim
-        got = block.array[: len(terms) + 1, : len(terms) + 1]
-        assert got.tobytes() == _block_by_sim(sim, terms, pad).tobytes()  # -0.0 is not 0.0
+        # index 0 and every spare row hold the absent value; -0.0 is not 0.0
+        assert block.array.tobytes() == _block_by_sim(sim, terms, len(block.array)).tobytes()
