@@ -62,6 +62,9 @@ def commands(world: Path) -> list[list[str]]:
         ["graph", *inputs, "--graph", "dic", "--out", "graph-dic.tsv"],
         ["simmatrix", *inputs, "--graph", "g1", "--lambda", "1", "--out", "simmatrix-g1-l1.tsv"],
         ["simmatrix", *inputs, "--graph", "dic", "--lambda", "2", "--out", "simmatrix-dic-l2.tsv"],
+        # eps 0: every reachable pair, the search with no horizon
+        *(["simmatrix", *inputs, "--graph", graph, "--lambda", "1", "--eps", "0",
+           "--out", f"simmatrix-{graph}-l1-eps0.tsv"] for graph in ("g1", "dic")),
         ["sweep", *judged, *REFERENCE9, "--out", "sweep-ref9.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-fill.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-cached.csv"],

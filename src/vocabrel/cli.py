@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -284,8 +285,8 @@ def cmd_graph(args: argparse.Namespace) -> None:
 
 
 def cmd_simmatrix(args: argparse.Namespace) -> None:
-    if args.lam is None or args.lam <= 0:
-        raise ConfigError(f"simmatrix needs --lambda > 0, got {args.lam}")
+    if not 0 < args.lam < math.inf:  # nan and inf fail too
+        raise ConfigError(f"simmatrix needs a finite --lambda > 0, got {args.lam}")
     ws = _workspace(args)
     matrix = ws.matrix(args.graph, args.lam)
     matrix.export(args.out)

@@ -254,7 +254,7 @@ def _neg_distance_rule(matrix: SimMatrix) -> Callable[[float], float]:
     if matrix.eps > 0.0:
         cutoff = -lam * math.log(matrix.eps)
     else:
-        longest = max((-lam * math.log(s) for s in matrix.entries.values()), default=0.0)
+        longest = max((-lam * math.log(s) for s in matrix.arrays.sim.tolist()), default=0.0)
         cutoff = longest + 1.0
 
     def neg_distance(s: float) -> float:
@@ -326,8 +326,8 @@ class MethodConfig:
         if self.uses_graph:
             if self.graph not in GRAPHS:
                 raise ConfigError(f"method {self.method!r} needs graph g1 or dic, got {self.graph!r}")
-            if self.lam is None or self.lam <= 0:
-                raise ConfigError(f"method {self.method!r} needs lambda > 0, got {self.lam}")
+            if self.lam is None or not 0 < self.lam < math.inf:  # nan and inf fail too
+                raise ConfigError(f"method {self.method!r} needs a finite lambda > 0, got {self.lam}")
 
     def fields(self) -> dict[str, str]:
         """Every parameter rendered for output; '.' marks one the method does not read."""

@@ -8,15 +8,19 @@ similarity 0.
 
 Materializing all-pairs similarity over a 30k-term vocabulary is infeasible
 (~9e8 entries), so SimMatrix stores only entries above a cutoff ``eps``.
-Searches prune their frontier with the same ``exp(-d/lam) > eps`` predicate
-used for storage: cost is nondecreasing along the search, so no qualifying
-entry is lost and the pruned result equals the unpruned one.
+``similarity_matrix`` searches from a batch of sources at a time over the
+graph's CSR arrays, in numpy: one frontier relaxation, a BFS on unit
+weights, pruned at the horizon ``-lam*ln(eps)``.  Cost is nondecreasing
+along a path, so no entry above eps is lost and the pruned store equals the
+unpruned one.  Each distance becomes ``math.exp(-d/lam)``, one entry at a
+time, and goes straight into the store's arrays.
 
-``SimMatrix.arrays`` holds a store's entries as arrays, and ``SimMatrix.block``
-grows from them the dense similarities among the terms scored so far, one
-block per store; ``save``/``load`` keep the arrays as ``.npz`` for the cache,
-checked against the entry count and SHA-256 in their header; ``export``
-writes the sorted TSV form that the ``simmatrix`` command gives.
+A SimMatrix is its ``arrays``; the map keyed by term pairs is derived only
+when read.  ``SimMatrix.block`` grows from the arrays the dense similarities
+among the terms scored so far, one block per store; ``save``/``load`` keep
+the arrays as ``.npz`` for the cache, checked against the entry count and
+SHA-256 in their header; ``export`` writes the sorted TSV form that the
+``simmatrix`` command gives.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ import hashlib
 import json
 import math
 import zipfile
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
-from itertools import chain, count, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -55,6 +57,28 @@ class TermGraph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+
+    @cached_property
+    def csr(self) -> _CSR:
+        """The adjacency as int32 CSR arrays over the sorted ids, built once."""
+        terms = sorted(self.adj)
+        position = {t: k for k, t in enumerate(terms)}
+        edges = [edge for t in terms for edge in self.adj[t]]
+        indptr = np.zeros(len(terms) + 1, np.int64)
+        np.cumsum([len(self.adj[t]) for t in terms], out=indptr[1:])
+        return _CSR(terms, position, indptr,
+                    np.fromiter((position[v] for v, _ in edges), np.int32, len(edges)),
+                    np.fromiter((w for _, w in edges), np.float64, len(edges)))
+
+
+class _CSR(NamedTuple):
+    """A graph's adjacency: node k is ``terms[k]``, its edges ``indptr[k]`` to ``indptr[k + 1]``."""
+
+    terms: list[TermId]  # sorted
+    position: dict[TermId, int]
+    indptr: np.ndarray
+    indices: np.ndarray  # int32 neighbours
+    weights: np.ndarray  # float64
 
 
 def _adjacency(vocab: Vocabulary, weight_fn: Callable[[TermId, TermId], float]):
@@ -88,50 +112,55 @@ def single_source_distances(
 ) -> dict[TermId, float]:
     """Exact shortest-path costs from ``source`` to every node satisfying ``keep``.
 
-    ``keep`` must be antitone in cost (once false it stays false for larger
-    costs); the search frontier is pruned at the first failing node.  BFS is
-    used for the unit-weight g1 graph, Dijkstra otherwise.
+    A batch of one through the search ``similarity_matrix`` runs, without a
+    horizon; ``keep`` must be antitone in cost (once false it stays false for
+    larger costs), as it filters what the search reaches.
     """
-    if source not in graph.adj:
+    csr = graph.csr
+    if source not in csr.position:
         raise KeyError(f"unknown term {source!r}")
-    if graph.kind == "g1":
-        return _bfs(graph, source, keep)
-    return _dijkstra(graph, source, keep)
+    row = _distances(csr, np.array([csr.position[source]]), math.inf)[0]
+    reached = np.flatnonzero(row < math.inf)
+    return {csr.terms[k]: d for k, d in zip(reached.tolist(), row[reached].tolist())
+            if keep is None or keep(d)}
 
 
-def _bfs(graph, source, keep):
-    dist: dict[TermId, float] = {}
-    frontier = [source]
-    level = 0
-    while frontier:
-        if keep is not None and not keep(float(level)):
-            break
-        nxt = []
-        for node in frontier:
-            if node in dist:
-                continue
-            dist[node] = float(level)
-            for nbr, _w in graph.adj[node]:
-                if nbr not in dist:
-                    nxt.append(nbr)
-        frontier = nxt
-        level += 1
-    return dist
+# a batch of sources holds two dense blocks over the graph, distances and owners, 16 bytes a
+# cell; the batch is as many sources as keep them under this many bytes
+_BATCH_BYTES = 1 << 26
 
 
-def _dijkstra(graph, source, keep):
-    dist: dict[TermId, float] = {}
-    heap: list[tuple[float, TermId]] = [(0.0, source)]
-    while heap:
-        d, node = heappop(heap)
-        if node in dist:
-            continue
-        if keep is not None and not keep(d):
-            break  # costs pop in nondecreasing order; nothing later can pass
-        dist[node] = d
-        for nbr, w in graph.adj[node]:
-            if nbr not in dist:
-                heappush(heap, (d + w, nbr))
+def _distances(csr: _CSR, sources: np.ndarray, horizon: float) -> np.ndarray:
+    """Shortest-path costs from each of ``sources`` (rows) to every node (columns); inf if none.
+
+    A frontier label-correcting relaxation: each round relaxes the edges out
+    of the labels the last round lowered, and a label is lowered only to a
+    cost at most ``horizon``.  On unit weights the frontier is one BFS level.
+    With nonnegative weights ``fl(x + w)`` is monotone in x and never below
+    x, so each node ends at ``min over u of fl(d(u) + w(u, v))``, the floats
+    a Dijkstra search settles; a node within the horizon is reached through
+    nodes no farther, so pruning loses none of them.
+    """
+    n = len(csr.terms)
+    dist = np.full((len(sources), n), math.inf)
+    flat = dist.reshape(-1)  # a view: a label's flat position is row * n + node
+    owner = np.empty(len(flat), np.intp)  # which of a round's lowered labels stands for its position
+    frontier = np.arange(len(sources)) * n + sources
+    flat[frontier] = 0.0
+    degree = np.diff(csr.indptr)
+    while len(frontier):
+        node = frontier % n
+        counts = degree[node]
+        ends = np.cumsum(counts)
+        edge = np.repeat(csr.indptr[node] - (ends - counts), counts) + np.arange(ends[-1])
+        target = np.repeat(frontier - node, counts) + csr.indices[edge]
+        cost = np.repeat(flat[frontier], counts) + csr.weights[edge]
+        lower = (cost < flat[target]) & (cost <= horizon)
+        target, cost = target[lower], cost[lower]
+        np.minimum.at(flat, target, cost)  # the least of a round's costs to one node
+        at = np.arange(len(target))
+        owner[target] = at  # one of the round's labels at each position wins
+        frontier = target[owner[target] == at]
     return dist
 
 
@@ -186,23 +215,50 @@ class _Block:
         self.array[ia, ib] = self.array[ib, ia] = sims
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SimMatrix:
     """Sparse symmetric term-similarity matrix with an implicit unit diagonal.
 
-    ``entries`` maps a term pair ``(a, b)`` with ``a < b`` to its similarity,
-    and is held as given, not copied.  Off-diagonal entries are stored only
-    when strictly above the cutoff ``eps``; everything else reads as 0.
-    ``inputs`` is the digest of the inputs the store was built from, as a
-    cache records it; empty when unknown.
+    The store is its ``arrays``; off-diagonal entries are stored only when
+    strictly above the cutoff ``eps``, and everything else reads as 0.  A
+    store is built from its arrays, or by hand from ``entries``, a map from
+    a term pair ``(a, b)`` with ``a < b`` to its similarity, held as given.
+    ``entries`` is derived from the arrays only when something reads it:
+    itself, ``sim`` or equality; ``dataclasses.replace`` passes the arrays
+    on.  ``inputs`` is the digest of the inputs the store was built from, as
+    a cache records it; empty when unknown.
     """
 
     kind: str  # the graph: "g1" or "dic"
     lam: float
     eps: float
     n: int  # terms in the graph
-    entries: Mapping[tuple[TermId, TermId], float] = field(repr=False)
-    inputs: str = field(default="", compare=False)
+    arrays: StoreArrays = field(repr=False)
+    inputs: str = ""
+
+    def __init__(self, kind: str, lam: float, eps: float, n: int,
+                 entries: Mapping[tuple[TermId, TermId], float] | None = None,
+                 inputs: str = "", arrays: StoreArrays | None = None):
+        if (entries is None) == (arrays is None):
+            raise TypeError("a SimMatrix takes either entries or arrays")
+        if arrays is None:
+            vars(self)["entries"] = entries  # the cached value of ``entries``
+            arrays = _entry_arrays(entries)
+        # past the frozen __setattr__, as cached_property writes
+        vars(self).update(kind=kind, lam=lam, eps=eps, n=n, arrays=arrays, inputs=inputs)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[TermId, TermId], float]:
+        """The entries keyed by term pair, derived from the arrays when first read."""
+        terms, a, b, sims = self.arrays
+        keys = zip(map(terms.__getitem__, a.tolist()), map(terms.__getitem__, b.tolist()))
+        return dict(zip(keys, sims.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SimMatrix):
+            return NotImplemented
+        return ((self.kind, self.lam, self.eps, self.n) == (other.kind, other.lam, other.eps, other.n)
+                and self.entries == other.entries)
 
     def sim(self, a: TermId, b: TermId) -> float:
         if a == b:
@@ -211,21 +267,7 @@ class SimMatrix:
         return self.entries.get(key, 0.0)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def arrays(self) -> StoreArrays:
-        """The entries as arrays, derived once; a loaded store has the arrays it read."""
-        index = defaultdict(count().__next__)  # numbers each term id when first seen
-        n_entries = len(self.entries)
-        flat = chain.from_iterable(self.entries)  # a1, b1, a2, b2, ...
-        ends = np.fromiter(map(index.__getitem__, flat), np.int32, 2 * n_entries)
-        ids = list(index)
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        rank = np.empty(len(ids), np.int32)
-        rank[order] = np.arange(len(ids), dtype=np.int32)  # first-seen number -> sorted position
-        return StoreArrays([ids[k] for k in order], rank[ends[0::2]], rank[ends[1::2]],
-                           np.fromiter(self.entries.values(), np.float64, n_entries))
+        return len(self.arrays.sim)
 
     @cached_property
     def block(self) -> _Block:
@@ -266,27 +308,35 @@ class SimMatrix:
                 raise ParseError(f"array {name!r} is not {declared} entries of kind {dtype!r}", path)
         if digest != _arrays_sha256(arrays):
             raise ParseError("arrays do not match the header's sha256", path)
-        a, b, sims = arrays["a"], arrays["b"], arrays["sim"]
-        if declared and not (a.min() >= 0 and (a < b).all() and b.max() < len(arrays["terms"])):
+        terms, a, b, sims = arrays["terms"], arrays["a"], arrays["b"], arrays["sim"]
+        if not (terms[1:] > terms[:-1]).all():  # export's order and the block's lookups rely on it
+            raise ParseError("term ids are not strictly increasing", path)
+        if declared and not (a.min() >= 0 and (a < b).all() and b.max() < len(terms)):
             raise ParseError("end indices out of range or out of order", path)
-        ids = arrays["terms"].astype(object)
-        keys = zip(ids[a].tolist(), ids[b].tolist())
-        matrix = cls(kind=kind, lam=lam, eps=eps, n=n, entries=dict(zip(keys, sims.tolist())),
-                     inputs=inputs)
-        vars(matrix)["arrays"] = StoreArrays(ids.tolist(), a, b, sims)  # arrays' cached value
-        return matrix
+        return cls(kind=kind, lam=lam, eps=eps, n=n, inputs=inputs,
+                   arrays=StoreArrays(terms.tolist(), a, b, sims))
 
     def export(self, dest: str | Path | IO[str]) -> None:
-        """Write the TSV form, as ``simmatrix --out`` gives it: one sorted line per entry."""
-        keys = sorted(self.entries)
+        """Write the TSV form, as ``simmatrix --out`` gives it: one line per entry, sorted by ids."""
+        terms, a, b, sims = self.arrays
+        order = np.lexsort((b, a))  # terms are sorted: (a, b) order is the ids' order
         with _open_out(dest) as fh:
             fh.write(
-                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(keys)} "
+                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(sims)} "
                 f"eps={self.eps:.17g} n={self.n}\n"
             )
-            for start in range(0, len(keys), 4096):  # written a block of lines at a time
-                block = keys[start : start + 4096]
-                fh.write("".join(f"{a}\t{b}\t{self.entries[a, b]:.17g}\n" for a, b in block))
+            for start in range(0, len(order), 4096):  # written a block of lines at a time
+                at = order[start : start + 4096]
+                fh.write("".join(f"{terms[i]}\t{terms[j]}\t{s:.17g}\n"
+                                 for i, j, s in zip(a[at].tolist(), b[at].tolist(), sims[at].tolist())))
+
+
+def _entry_arrays(entries: Mapping[tuple[TermId, TermId], float]) -> StoreArrays:
+    """A hand-built store's entries as arrays, in their order."""
+    terms = sorted(set(chain.from_iterable(entries)))
+    position = {t: k for k, t in enumerate(terms)}
+    ends = np.fromiter(map(position.__getitem__, chain.from_iterable(entries)), np.int32, 2 * len(entries))
+    return StoreArrays(terms, ends[0::2], ends[1::2], np.fromiter(entries.values(), np.float64, len(entries)))
 
 
 # the store's arrays and the numpy kind of each: str ids, int end indices, float similarities
@@ -313,7 +363,12 @@ def similarity_matrix(
     eps: float = 1e-4,
     restrict: Iterable[TermId] | None = None,
 ) -> SimMatrix:
-    """Materialize similarities ``exp(-dist/lam) > eps`` as a SimMatrix.
+    """Materialize similarities ``exp(-dist/lam) > eps`` as a SimMatrix of arrays.
+
+    The sources are searched a batch at a time, as many as keep the batch's
+    dense blocks under ``_BATCH_BYTES``; each distance becomes
+    ``math.exp(-d/lam)``, the bits a scalar search gives, and each batch's
+    entries go straight into the store's arrays.
 
     With ``restrict`` given, only those terms (typically the terms occurring
     in the corpus) are search sources: a stored entry has at least one of them
@@ -323,29 +378,43 @@ def similarity_matrix(
     bit, and taking one of them always keeps the pruned store equal to the
     unpruned one above eps.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     if not 0 <= eps < 1:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    csr = graph.csr
     if restrict is None:
-        sources = sorted(graph.adj)
+        sources = np.arange(len(csr.terms))
     else:
-        sources = sorted(set(restrict))
-        unknown = [t for t in sources if t not in graph.adj]
+        wanted = sorted(set(restrict))
+        unknown = [t for t in wanted if t not in csr.position]
         if unknown:
             raise KeyError(f"unknown term {unknown[0]!r}")
-    keep = (lambda d: math.exp(-d / lam) > eps) if eps > 0 else None
-    source_set = set(sources)
-    entries: dict[tuple[TermId, TermId], float] = {}
-    for src in sources:
-        for node, d in single_source_distances(graph, src, keep=keep).items():
-            if node == src or (node > src and node in source_set):  # node's own search writes it
-                continue
-            s = math.exp(-d / lam)
-            if s > eps:
-                key = (src, node) if src < node else (node, src)
-                entries[key] = s
-    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=len(graph.adj), entries=entries)
+        sources = np.array([csr.position[t] for t in wanted], np.int64)
+    n = len(csr.terms)
+    is_source = np.zeros(n, bool)
+    is_source[sources] = True
+    # a little past -lam*ln(eps), so that no cost the exact math.exp test below keeps is pruned
+    horizon = -lam * math.log(eps) * (1 + 1e-9) if eps > 0 else math.inf
+    batch = max(1, _BATCH_BYTES // (16 * max(n, 1)))
+    parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]  # an empty store's arrays
+    for start in range(0, len(sources), batch):
+        src = sources[start : start + batch]
+        dist = _distances(csr, src, horizon)
+        # a row's own term, and another source of larger id, whose search gives that entry
+        dist[is_source & (np.arange(n) >= src[:, None])] = math.inf
+        rows, cols = np.nonzero(dist < math.inf)
+        sims = np.fromiter(map(math.exp, (-dist[rows, cols] / lam).tolist()), np.float64, len(rows))
+        kept = sims > eps
+        one, other = src[rows[kept]], cols[kept]
+        parts.append((np.minimum(one, other).astype(np.int32), np.maximum(one, other).astype(np.int32),
+                      sims[kept]))
+    a, b, sims = (np.concatenate(part) for part in zip(*parts))
+    ends = np.zeros(n, bool)
+    ends[a] = ends[b] = True
+    rank = (np.cumsum(ends) - 1).astype(np.int32)  # a graph position's position among the ends
+    arrays = StoreArrays([csr.terms[k] for k in np.flatnonzero(ends).tolist()], rank[a], rank[b], sims)
+    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=n, arrays=arrays)
 
 
 def save_graph(graph: TermGraph, dest: str | Path | IO[str]) -> None:

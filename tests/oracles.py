@@ -7,6 +7,7 @@ vocabrel internals, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
@@ -206,3 +207,64 @@ def random_term_vector(rng: random.Random, pool, max_terms: int = 8) -> dict:
     n = rng.randint(1, max_terms)
     terms = rng.sample(pool, n)
     return {t: rng.choice([1.0, 2.0, 0.5, 3.0, 1.5]) for t in terms}
+
+
+def bfs_distances(adj, source, keep=None) -> dict:
+    """Hop counts from ``source`` over an adjacency of (neighbour, weight) pairs, one level at a time.
+
+    ``keep`` is antitone in cost; the search stops at the first level it rejects.
+    """
+    dist: dict = {}
+    frontier = [source]
+    level = 0
+    while frontier:
+        if keep is not None and not keep(float(level)):
+            break
+        nxt = []
+        for node in frontier:
+            if node in dist:
+                continue
+            dist[node] = float(level)
+            for nbr, _w in adj[node]:
+                if nbr not in dist:
+                    nxt.append(nbr)
+        frontier = nxt
+        level += 1
+    return dist
+
+
+def dijkstra_distances(adj, source, keep=None) -> dict:
+    """Shortest-path costs from ``source`` by a binary-heap Dijkstra; ``keep`` as in ``bfs_distances``."""
+    dist: dict = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in dist:
+            continue
+        if keep is not None and not keep(d):
+            break  # costs pop in nondecreasing order; nothing later can pass
+        dist[node] = d
+        for nbr, w in adj[node]:
+            if nbr not in dist:
+                heapq.heappush(heap, (d + w, nbr))
+    return dist
+
+
+def scalar_store(adj, unit_weights: bool, lam: float, eps: float, restrict=None) -> dict:
+    """A term-similarity store's entries ``{(a, b): exp(-d/lam)}``, ``a < b``, from one scalar search per source.
+
+    Each source's search is pruned where ``exp(-d/lam) > eps`` fails; an entry
+    between two sources comes from the larger id's search.
+    """
+    search = bfs_distances if unit_weights else dijkstra_distances
+    sources = set(adj if restrict is None else restrict)
+    keep = (lambda d: math.exp(-d / lam) > eps) if eps > 0 else None
+    entries = {}
+    for src in sorted(sources):
+        for node, d in search(adj, src, keep).items():
+            if node == src or (node > src and node in sources):
+                continue
+            s = math.exp(-d / lam)
+            if s > eps:
+                entries[(src, node) if src < node else (node, src)] = s
+    return entries

@@ -116,6 +116,24 @@ def test_relate_rejects_a_flag_the_method_does_not_read(synth_files, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", ["relate", "simmatrix", "sweep"])
+def test_a_lambda_that_is_not_finite_and_positive_is_rejected(synth_files, tmp_path, caplog, command, lam):
+    # nan once scored every pair against an empty store, and inf stored every reachable pair at 1
+    flags = {
+        "relate": ["--method", "soft", "--graph", "g1", "--lambda", lam],
+        "simmatrix": ["--graph", "g1", "--lambda", lam],
+        "sweep": ["--judgements", synth_files["judgements"], "--methods", "soft,mts",
+                  "--graphs", "g1", "--lambda-list", f"1,{lam}"],
+    }[command]
+    out = tmp_path / "x.out"
+    assert run(
+        command, "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"], *flags, "--out", out,
+    ) == 1
+    assert "lambda > 0, got " in caplog.text
+    assert not out.exists()
+
+
 def test_stats_self_concordance(synth_files, tmp_path, capsys):
     out = tmp_path / "scores.tsv"
     run(

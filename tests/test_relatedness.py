@@ -588,6 +588,26 @@ def test_soft_and_mts_on_one_store_read_one_block_in_either_order(seed):
         assert rawdist_scorer._block is not block and set(block.index) == added
 
 
+@pytest.mark.parametrize("how", ["built", "replaced", "loaded"])
+def test_scoring_a_batch_never_derives_the_entries_keyed_by_term_pair(how):
+    # the store is its arrays; a dict keyed by term pairs is derived only for a caller that reads it
+    graph, ic, docs, _ = _kernel_world(random.Random(3))
+    pairs = [(a, b) for a in docs for b in docs]
+    for name in ("soft-ic", "mts", "mts-rawdist", "mts-rawdist-eps0"):
+        config = KERNEL_CONFIGS[name]
+        store = similarity_matrix(graph, lam=config.lam, eps=config.eps)
+        if how == "replaced":  # as a cache records the inputs it was built from
+            store = replace(store, inputs="digest")
+        elif how == "loaded":
+            buf = io.BytesIO()
+            store.save(buf)
+            store = SimMatrix.load(io.BytesIO(buf.getvalue()))
+        assert len(store) > 0
+        scores = score_doc_pairs(Scorer(config=config, ic=ic, matrix=store), pairs)
+        assert any(isinstance(score, float) for score in scores)
+        assert "entries" not in vars(store)
+
+
 def test_salton_adds_the_qualifier_count_after_the_term_sum():
     # the 0.1 weights round as they add up, so counting the shared qualifier dimensions
     # into the running sum, before the terms or one by one after them, moves the last bit
@@ -664,7 +684,7 @@ def test_scattered_block_equals_the_block_filled_by_sim_calls(entries, eps, lam,
     if loaded:
         entries = {key: s for key, s in entries.items() if not any(t.endswith("\0") for t in key)}
         buf = io.BytesIO()
-        replace(matrix, entries=entries).save(buf)
+        SimMatrix(kind="dic", lam=lam, eps=eps, n=len(BLOCK_IDS), entries=entries).save(buf)
         matrix = SimMatrix.load(io.BytesIO(buf.getvalue()))
         assert matrix.entries == entries
     config = MethodConfig("mts", graph="dic", lam=lam, eps=eps, raw_distance=True)

@@ -13,6 +13,7 @@ from vocabrel.model import read_pairs
 from vocabrel.termgraph import (
     UNREACHABLE,
     SimMatrix,
+    _arrays_sha256,
     build_ic_weighted_graph,
     build_unweighted_graph,
     save_graph,
@@ -202,6 +203,11 @@ def _drop_graph(header, arrays):
     del header["graph"]
 
 
+def _swap_terms(header, arrays):
+    arrays["terms"] = arrays["terms"][[1, 0, *range(2, len(arrays["terms"]))]]
+    header["sha256"] = _arrays_sha256(arrays)  # a store written out of order, not a damaged one
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -210,8 +216,9 @@ def _drop_graph(header, arrays):
         (_drop_member, "unreadable store: "),
         (_wrong_dtype, "array 'sim' is not 6 entries of kind 'f'"),
         (_drop_graph, "bad header field: 'graph'"),
+        (_swap_terms, "term ids are not strictly increasing"),
     ],
-    ids=["similarity", "entry-count", "member", "dtype", "header-field"],
+    ids=["similarity", "entry-count", "member", "dtype", "header-field", "terms-order"],
 )
 def test_simmatrix_edited_store_fails_to_load(diamond_vocab, tmp_path, edit, message):
     path = tmp_path / "store.npz"
@@ -342,6 +349,28 @@ def test_pruned_matrix_equals_unpruned(seed, lam, eps):
         full = similarity_matrix(graph, lam=lam, eps=0.0)
         surviving = {k: s for k, s in full.entries.items() if s > eps}
         assert dict(pruned.entries) == surviving  # bitwise: same dist, same exp
+
+
+@given(st.integers(0, 10_000), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 0.01, 0.1]),
+       st.one_of(st.none(), st.integers(0, 2**32)))
+# the dic graphs of test_pruned_matrix_equals_unpruned's examples
+@example(9825, 1.0, 0.01, None)
+@example(490, 2.0, 0.1, None)
+def test_store_equals_the_scalar_searches_bit_for_bit(seed, lam, eps, subset):
+    # about a third of the dic graphs hold zero-weight edges
+    for graph in _random_graphs(seed):
+        restrict = None
+        if subset is not None:  # a random set of sources, possibly empty
+            rng = random.Random(subset)
+            restrict = rng.sample(sorted(graph.adj), rng.randint(0, len(graph.adj)))
+        store = similarity_matrix(graph, lam=lam, eps=eps, restrict=restrict)
+        expected = oracles.scalar_store(graph.adj, graph.kind == "g1", lam, eps, restrict)
+        assert {key: s.hex() for key, s in store.entries.items()} == {key: s.hex() for key, s in expected.items()}
+        search = oracles.bfs_distances if graph.kind == "g1" else oracles.dijkstra_distances
+        keep = (lambda d: math.exp(-d / lam) > eps) if eps > 0 else None
+        for src in graph.adj:
+            got = single_source_distances(graph, src, keep=keep)
+            assert {t: d.hex() for t, d in got.items()} == {t: d.hex() for t, d in search(graph.adj, src, keep).items()}
 
 
 def test_similarity_monotonicity():
