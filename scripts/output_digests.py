@@ -11,11 +11,12 @@ them), and optionally ``freq.tsv``, which is passed as ``--freq-table``.
 The commands run in this process through ``vocabrel.cli.main``, in order,
 from OUT_DIR as the working directory, so outputs that name another output
 (``stats`` names its score file) read the same whatever OUT_DIR is.  The pair
-list for ``relate --pairs`` (every corpus pair, larger id first) and the
-``--cache`` directory go to ``OUT_DIR/work``; after two ``sweep`` runs fill
-and read the cache, ``relate --pairs`` and ``simmatrix`` read it too.  Standard output gets one
-``sha256  name`` line per output file, manifests excepted, since they record
-elapsed time.
+list for ``relate --pairs`` (every corpus pair, larger id first), the corpus
+with its lines reversed and the ``--cache`` directory go to ``OUT_DIR/work``;
+after two ``sweep`` runs fill and read the cache, a third reads it with the
+reversed corpus, and ``relate --pairs`` and ``simmatrix`` read it too.
+Standard output gets one ``sha256  name`` line per output file, manifests
+excepted, since they record elapsed time.
 
 Run it with two checkouts on the same world and diff the listings: equal
 lines mean byte-identical outputs.  The exit status is 1 if any command
@@ -44,6 +45,7 @@ RELATE_CONFIGS = {
     "mts-rawdist-dic-w2": ["--method", "mts-rawdist", "--graph", "dic", "--w", "2",
                            "--lambda", "2"],
 }
+REORDERED = "work/corpus-reordered.jsonl"
 # also the two configurations perfbench's ref9 workload times with relate --pairs over its cache
 BENCH_CONFIGS = ("soft-ic-dic-w3", "mts-g1-w16")
 
@@ -54,6 +56,7 @@ def commands(world: Path) -> list[list[str]]:
     if (world / "freq.tsv").exists():
         inputs += ["--freq-table", str(world / "freq.tsv")]
     judged = [*inputs, "--judgements", str(world / "judgements.tsv")]
+    reordered = [REORDERED if arg == str(world / "corpus.jsonl") else arg for arg in judged]
     cache = ["--cache", "work/cache"]
     pairs = ["--pairs", "work/pairs.tsv"]
     cmds = [
@@ -68,6 +71,8 @@ def commands(world: Path) -> list[list[str]]:
         ["sweep", *judged, *REFERENCE9, "--out", "sweep-ref9.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-fill.csv"],
         ["sweep", *judged, *REFERENCE9, *cache, "--out", "sweep-ref9-cached.csv"],
+        # the same documents in another order: the same search sources, so the same stores
+        ["sweep", *reordered, *REFERENCE9, *cache, "--out", "sweep-ref9-reordered-cached.csv"],
         *(["relate", *inputs, *RELATE_CONFIGS[name], *cache, *pairs,
            "--out", f"relate-{name}-pairs-cached.tsv"] for name in BENCH_CONFIGS),
         *(["simmatrix", *inputs, "--graph", graph, "--lambda", "1", *cache,
@@ -104,6 +109,8 @@ def main(argv: list[str]) -> int:
     os.makedirs(Path(argv[1]) / "work", exist_ok=True)
     os.chdir(argv[1])
     write_pairs(world, Path("work/pairs.tsv"))
+    lines = (world / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    Path(REORDERED).write_text("".join(reversed(lines)), encoding="utf-8")
     failed = [cmd[0] for cmd in commands(world) if vocab_relate(cmd) != 0]
     for path in sorted(Path().iterdir()):
         if path.is_file() and not path.name.endswith(".manifest.json"):

@@ -487,10 +487,12 @@ def run_benchmark(
 
 @dataclass
 class ArtifactSet:
-    """Shared inputs for a sweep: IC table and lazily built similarity matrices.
+    """Shared inputs for a sweep: the IC table, graphs and similarity matrices.
 
-    ``eps`` is only the default floor for ``matrix``; a scorer's matrix uses
-    the floor of its own configuration.
+    Each is built when first asked for and kept in memory only;
+    ``cli.Workspace`` also keeps the matrices on disk.  ``eps`` is only the
+    default floor for ``matrix``; a scorer's matrix uses the floor of its
+    own configuration.
     """
 
     vocab: Vocabulary

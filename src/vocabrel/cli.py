@@ -15,15 +15,14 @@ A command whose ``--out`` names a regular file also writes
 ``<out>.manifest.json`` with the parameters, SHA-256 digests of the inputs
 and outputs, and timing.
 Result files themselves contain no timestamps, so a rerun with identical
-inputs is byte-identical.  ``--cache DIR`` keeps IC tables and similarity
-matrices keyed by input digests and parameters for reuse across commands.
+inputs is byte-identical.  ``--cache DIR`` keeps similarity matrices for reuse
+across commands, each named by a digest of what its search reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -52,11 +51,9 @@ from .benchmark import (
     write_results_csv,
 )
 from .errors import ConfigError, CycleError, MissingDataError, ParseError, VocabrelError
-from .infocontent import FreqTable, load_frequencies, load_ic_table, save_ic_table
+from .infocontent import load_frequencies, save_ic_table
 from .mesh import convert_mesh
 from .model import (
-    Corpus,
-    Vocabulary,
     _file_sha256,
     parse_corpus,
     parse_vocabulary,
@@ -72,7 +69,7 @@ from .relatedness import (
     read_scores,
     write_scores,
 )
-from .termgraph import ENTRY_RULE, SimMatrix, save_graph
+from .termgraph import ENTRY_RULE, SimMatrix, TermGraph, save_graph
 
 log = logging.getLogger("vocabrel")
 
@@ -111,81 +108,64 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+@dataclasses.dataclass
 class Workspace(ArtifactSet):
-    """ArtifactSet that checks the file cache before building anything.
+    """ArtifactSet that keeps each similarity matrix in the ``cache`` directory, when given.
 
-    Cache files are named by a digest of the inputs and parameters.  A file
-    that fails to load (cut short, edited) or that describes another request
-    is reported and rebuilt.
+    A store's file is named by a digest of exactly what its search reads:
+    the graph kind, lambda and eps, the graph's CSR arrays (which hold dic's
+    IC values) and the search sources.  Its header records that digest with
+    ``ENTRY_RULE``.  A file that fails to load (cut short, edited) or that
+    records another digest is reported and rebuilt.
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        corpus: Corpus | None,
-        freq: FreqTable | None,
-        eps: float,
-        cache_dir: str | None,
-        tokens: dict[str, str],
-    ):
-        super().__init__(vocab=vocab, corpus=corpus, freq=freq, eps=eps)
-        self._cache = Path(cache_dir) if cache_dir else None
-        if self._cache is not None:
-            self._cache.mkdir(parents=True, exist_ok=True)
-        self._tokens = tokens
+    cache: str | None = None
 
-    def _load_or_build(self, label: str, parts: list[str], suffix: str, load, fits, build, save):
-        """The artifact cached under ``parts`` if it loads and ``fits``, else ``build()`` saved there."""
-        assert self._cache is not None
-        path = self._cache / f"{parts[0]}-{_digest(*parts)[:24]}{suffix}"
-        if path.exists():
-            try:
-                artifact = load(path)
-            except ParseError as exc:
-                log.warning("cached %s unreadable, rebuilding: %s", label, exc)
-            else:
-                # digest collisions are hypothetical, a file copied under another name is not
-                if fits(artifact):
-                    log.info("cache hit: %s %s", label, path.name)
-                    return artifact
-                log.warning("cached %s %s does not match the request, rebuilding", label, path.name)
-        artifact = build()
-        # write a temporary file, then move it into place: no reader sees a half-written file
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            save(artifact, tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return artifact
-
-    def ic_table(self):
-        if self._ic is None and self._cache is not None:
-            self._ic = self._load_or_build(
-                "IC table", ["ic", self._tokens["vocab"], self._tokens["freqsrc"]], ".tsv",
-                load_ic_table, lambda table: table.ic.keys() == self.vocab.terms.keys(),
-                super().ic_table, save_ic_table,
-            )
-        return super().ic_table()
+    # perfbench/tracer.py wraps Workspace.ic_table by name until ROADMAP item 1 moves its cache
+    # probe; no cache stands behind it, since computing IC costs about what loading it did
+    ic_table = ArtifactSet.ic_table
 
     def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
         if eps is None:
             eps = self.eps
         key = (kind, lam, eps)
-        if key not in self._matrices and self._cache is not None:
-            tokens = self._tokens
-            inputs = [tokens["vocab"], tokens["restrict"]]
-            if kind == "dic":
-                inputs.append(tokens["freqsrc"])
-            digest = _digest(*inputs, ENTRY_RULE)  # the store's header records it, ``fits`` compares it
-            build = functools.partial(super().matrix, kind, lam, eps)
-            self._matrices[key] = self._load_or_build(
-                "similarity matrix", ["simmatrix", kind, f"{lam:.17g}", f"{eps:.17g}", *inputs], ".npz",
-                SimMatrix.load,
-                lambda matrix: (matrix.kind, matrix.lam, matrix.eps, matrix.inputs) == (*key, digest),
-                lambda: dataclasses.replace(build(), inputs=digest), SimMatrix.save,
-            )
-        return super().matrix(kind, lam, eps)
+        if key in self._matrices or not self.cache:
+            return super().matrix(kind, lam, eps)
+        sources = sorted(self.corpus.term_ids()) if self.corpus is not None else None
+        parts = [kind, f"{lam:.17g}", f"{eps:.17g}", _graph_digest(self.graph(kind)), json.dumps(sources)]
+        path = Path(self.cache) / f"simmatrix-{_digest(*parts)[:24]}.npz"
+        digest = _digest(*parts, ENTRY_RULE)  # a store built under another rule keeps its name
+        if path.exists():
+            try:
+                matrix = SimMatrix.load(path)
+            except ParseError as exc:
+                log.warning("cached similarity matrix unreadable, rebuilding: %s", exc)
+            else:
+                # digest collisions are hypothetical, a file copied under another name is not
+                if (matrix.kind, matrix.lam, matrix.eps, matrix.inputs) == (*key, digest):
+                    log.info("cache hit: similarity matrix %s", path.name)
+                    self._matrices[key] = matrix
+                    return matrix
+                log.warning("cached similarity matrix %s does not match the request, rebuilding", path.name)
+        matrix = self._matrices[key] = dataclasses.replace(super().matrix(kind, lam, eps), inputs=digest)
+        # write a temporary file, then move it into place: no reader sees a half-written file
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            matrix.save(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return matrix
+
+
+def _graph_digest(graph: TermGraph) -> str:
+    """SHA-256 over a graph's CSR form: its sorted ids, adjacency and edge weights."""
+    csr = graph.csr
+    digest = hashlib.sha256(json.dumps(csr.terms).encode())
+    for array in (csr.indptr, csr.indices, csr.weights):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def _workspace(args: argparse.Namespace) -> Workspace:
@@ -193,12 +173,10 @@ def _workspace(args: argparse.Namespace) -> Workspace:
     report = validate(vocab)
     if not report.ok:
         raise CycleError(report.cycles[0])
-    tokens = {"vocab": _file_sha256(args.vocab)}
     corpus = None
-    corpus_path = getattr(args, "corpus", None)
-    if corpus_path:
+    if getattr(args, "corpus", None):
         stats: dict = {}
-        corpus = parse_corpus(corpus_path, vocab, strict=args.strict, stats=stats)
+        corpus = parse_corpus(args.corpus, vocab, strict=args.strict, stats=stats)
         if stats.get("skipped_terms") or stats.get("skipped_qualifiers"):
             log.warning(
                 "lenient parse skipped %d unknown terms and %d unknown qualifiers",
@@ -207,16 +185,9 @@ def _workspace(args: argparse.Namespace) -> Workspace:
         empties = stats.get("empty_documents") or []
         if empties:
             log.warning("%d documents have no annotations, e.g. %s", len(empties), empties[0])
-        tokens["corpus"] = _file_sha256(corpus_path)
     freq = None
     if getattr(args, "freq_table", None):
         freq = load_frequencies(args.freq_table, vocab, strict=args.strict)
-        tokens["freqsrc"] = "freqfile:" + _file_sha256(args.freq_table)
-    elif corpus is not None:
-        tokens["freqsrc"] = f"corpus:{tokens['corpus']}:strict={int(args.strict)}"
-    else:
-        tokens["freqsrc"] = "-"
-    tokens["restrict"] = tokens.get("corpus", "-")
     n_docs = len(corpus) if corpus is not None else 0
     log.info(
         "loaded %d terms, %d edges, %d qualifiers; %d documents",
@@ -227,8 +198,7 @@ def _workspace(args: argparse.Namespace) -> Workspace:
         corpus=corpus,
         freq=freq,
         eps=getattr(args, "eps", 1e-4),
-        cache_dir=getattr(args, "cache", None),
-        tokens=tokens,
+        cache=getattr(args, "cache", None),
     )
 
 
@@ -482,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict", action=argparse.BooleanOptionalAction, default=True,
         help="fail on unknown term/qualifier ids (default: strict)",
     )
-    p_vocab.add_argument("--cache", help="directory for reusable IC and matrix artifacts")
+    p_vocab.add_argument(
+        "--cache", help="directory for reusable similarity matrices, named by what their search reads",
+    )
 
     p_corpus = argparse.ArgumentParser(add_help=False)
     p_corpus.add_argument("--corpus", required=True, help="corpus file (JSONL)")

@@ -254,8 +254,8 @@ def _neg_distance_rule(matrix: SimMatrix) -> Callable[[float], float]:
     if matrix.eps > 0.0:
         cutoff = -lam * math.log(matrix.eps)
     else:
-        longest = max((-lam * math.log(s) for s in matrix.arrays.sim.tolist()), default=0.0)
-        cutoff = longest + 1.0
+        sims = matrix.arrays.sim  # the least similarity is the longest distance: log is monotone
+        cutoff = (-lam * math.log(sims.min()) if len(sims) else 0.0) + 1.0
 
     def neg_distance(s: float) -> float:
         if s <= 0.0:

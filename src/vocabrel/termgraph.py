@@ -167,7 +167,7 @@ def _distances(csr: _CSR, sources: np.ndarray, horizon: float) -> np.ndarray:
 class StoreArrays(NamedTuple):
     """A store's entries as arrays: entry k joins ``terms[a[k]]`` and ``terms[b[k]]``."""
 
-    terms: Sequence[TermId]  # the distinct ids of the entries' ends, sorted
+    terms: Sequence[TermId]  # sorted: a built store's are the graph's, a hand-built one's its ends
     a: np.ndarray  # positions in ``terms``: int32, a < b, in a SimMatrix's arrays
     b: np.ndarray
     sim: np.ndarray  # float64 similarities
@@ -410,11 +410,7 @@ def similarity_matrix(
         parts.append((np.minimum(one, other).astype(np.int32), np.maximum(one, other).astype(np.int32),
                       sims[kept]))
     a, b, sims = (np.concatenate(part) for part in zip(*parts))
-    ends = np.zeros(n, bool)
-    ends[a] = ends[b] = True
-    rank = (np.cumsum(ends) - 1).astype(np.int32)  # a graph position's position among the ends
-    arrays = StoreArrays([csr.terms[k] for k in np.flatnonzero(ends).tolist()], rank[a], rank[b], sims)
-    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=n, arrays=arrays)
+    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=n, arrays=StoreArrays(csr.terms, a, b, sims))
 
 
 def save_graph(graph: TermGraph, dest: str | Path | IO[str]) -> None:

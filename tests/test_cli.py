@@ -373,40 +373,6 @@ def test_store_without_integrity_fields_is_rebuilt(synth_files, tmp_path, caplog
     assert after_edit.read_bytes() == fresh.read_bytes()
 
 
-def test_truncated_ic_cache_is_rebuilt(synth_files, tmp_path, caplog):
-    cache = tmp_path / "cache"
-    args = (
-        "bench", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
-        "--judgements", synth_files["judgements"],
-        "--method", "salton", "--vector", "ic", "--w", "2", "--iterations", "5", "--cache", cache,
-    )
-    fresh, after_cut = tmp_path / "fresh.csv", tmp_path / "after-cut.csv"
-    assert run(*args, "--out", fresh) == 0
-    [ic_file] = cache.glob("ic-*.tsv")
-    data = ic_file.read_bytes()
-    ic_file.write_bytes(data[: len(data) // 2])
-    caplog.clear()
-    assert run(*args, "--out", after_cut) == 0
-    assert "cached IC table unreadable, rebuilding" in caplog.text
-    assert ic_file.read_bytes() == data
-    assert after_cut.read_bytes() == fresh.read_bytes()
-
-
-def test_ic_cache_that_is_not_utf8_is_rebuilt(synth_files, tmp_path, caplog):
-    cache = tmp_path / "cache"
-    args = ("ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"], "--cache", cache)
-    fresh, after_edit = tmp_path / "fresh.tsv", tmp_path / "after-edit.tsv"
-    assert run(*args, "--out", fresh) == 0
-    [ic_file] = cache.glob("ic-*.tsv")
-    data = ic_file.read_bytes()
-    ic_file.write_bytes(data[:-40] + b"\xff" + data[-39:])
-    caplog.clear()
-    assert run(*args, "--out", after_edit) == 0
-    assert "cached IC table unreadable, rebuilding" in caplog.text and "not UTF-8" in caplog.text
-    assert ic_file.read_bytes() == data
-    assert after_edit.read_bytes() == fresh.read_bytes()
-
-
 @pytest.mark.parametrize(
     "config", [("--graph", "dic", "--lambda", "1"), ("--graph", "g1", "--lambda", "2")],
     ids=["other-graph", "other-lambda"],
@@ -471,23 +437,67 @@ def test_store_cached_under_the_earlier_entry_rule_is_rebuilt(synth_files, tmp_p
     assert after.read_bytes() == fresh.read_bytes()
 
 
-def test_ic_table_cached_for_another_vocabulary_is_rebuilt(synth_files, tmp_path, caplog):
+def _cached_stores(synth_files, cache, *inputs):
+    """The bytes of the g1 and dic stores at lambda 1 exported through ``cache``."""
+    outputs = []
+    for graph in ("g1", "dic"):
+        out = Path(cache).parent / f"{graph}.tsv"
+        assert run("simmatrix", "--vocab", synth_files["vocab"], *inputs, "--graph", graph,
+                   "--lambda", "1", "--cache", cache, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_a_corpus_with_its_lines_reordered_reuses_every_cached_store(synth_files, tmp_path, caplog):
+    caplog.set_level("INFO")
     cache = tmp_path / "cache"
-    (tmp_path / "vocab.jsonl").write_text('{"id": "t1", "label": "t1", "parents": []}\n')
-    (tmp_path / "corpus.jsonl").write_text('{"id": "d1", "terms": [{"term": "t1"}]}\n')
-    other = ("ic", "--vocab", tmp_path / "vocab.jsonl", "--corpus", tmp_path / "corpus.jsonl")
-    args = ("ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"])
-    assert run(*other, "--cache", cache, "--out", tmp_path / "other.tsv") == 0
-    [other_table] = cache.glob("ic-*.tsv")
-    assert run(*args, "--cache", cache, "--out", tmp_path / "fresh.tsv") == 0
-    [table] = set(cache.glob("ic-*.tsv")) - {other_table}
-    data = table.read_bytes()
-    shutil.copyfile(other_table, table)
+    reordered = tmp_path / "reordered.jsonl"
+    lines = Path(synth_files["corpus"]).read_text().splitlines(keepends=True)
+    reordered.write_text("".join(reversed(lines)))  # the same documents, so the same search sources
+    fresh = _cached_stores(synth_files, cache, "--corpus", synth_files["corpus"])
+    stores = sorted(cache.iterdir())
     caplog.clear()
-    assert run(*args, "--cache", cache, "--out", tmp_path / "after-copy.tsv") == 0
-    assert table.name in caplog.text and "rebuilding" in caplog.text
-    assert table.read_bytes() == data
-    assert (tmp_path / "after-copy.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
+    assert _cached_stores(synth_files, cache, "--corpus", reordered) == fresh
+    assert caplog.text.count("cache hit: similarity matrix") == 2
+    assert sorted(cache.iterdir()) == stores
+
+
+def test_a_frequency_table_that_moves_an_ic_value_rebuilds_only_the_dic_store(synth_files, tmp_path, caplog):
+    caplog.set_level("INFO")
+    cache = tmp_path / "cache"
+    freq = tmp_path / "freq.tsv"
+    terms = sorted(parse_vocabulary(synth_files["vocab"]).terms)
+    counts = {t: i % 7 for i, t in enumerate(terms)}
+    inputs = ("--corpus", synth_files["corpus"], "--freq-table", freq)
+    freq.write_text("".join(f"{t}\t{c}\n" for t, c in counts.items()))
+    g1, dic = _cached_stores(synth_files, cache, *inputs)
+    stores = set(cache.iterdir())
+    freq.write_text("".join(reversed(freq.read_text().splitlines(keepends=True))))  # the same IC
+    caplog.clear()
+    assert _cached_stores(synth_files, cache, *inputs) == [g1, dic]
+    assert caplog.text.count("cache hit: similarity matrix") == 2 and set(cache.iterdir()) == stores
+    counts[terms[0]] += 100
+    freq.write_text("".join(f"{t}\t{c}\n" for t, c in counts.items()))
+    caplog.clear()
+    g1_after, dic_after = _cached_stores(synth_files, cache, *inputs)
+    assert g1_after == g1 and dic_after != dic
+    [g1_store] = [path for path in stores if SimMatrix.load(path).kind == "g1"]
+    [hit] = [line for line in caplog.text.splitlines() if "cache hit: similarity matrix" in line]
+    [rebuilt] = set(cache.iterdir()) - stores
+    assert g1_store.name in hit and SimMatrix.load(rebuilt).kind == "dic"
+
+
+def test_the_cache_holds_only_similarity_matrices(synth_files, tmp_path):
+    cache = tmp_path / "cache"
+    for config in (("--method", "salton", "--vector", "ic", "--w", "2"),
+                   ("--method", "soft", "--vector", "ic", "--graph", "dic", "--w", "3", "--lambda", "1")):
+        assert run("bench", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+                   "--judgements", synth_files["judgements"], *config, "--iterations", "5",
+                   "--cache", cache, "--out", tmp_path / "bench.csv") == 0
+    assert run("ic", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+               "--cache", cache, "--out", tmp_path / "ic.tsv") == 0
+    [store] = cache.iterdir()
+    assert store.name.startswith("simmatrix-") and store.suffix == ".npz"
 
 
 def test_ic_orders_the_vocabulary_once(synth_files, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from vocabrel.benchmark import ingest_judgements
 from vocabrel.errors import ParseError
+from vocabrel.infocontent import load_ic_table
 from vocabrel.mesh import parse_mesh_records
 from vocabrel.model import (
     Annotation,
@@ -240,3 +241,14 @@ def test_loaders_report_the_path_of_a_pathlib_source(tmp_path, loader, text):
     with pytest.raises(ParseError) as err:
         loader(path)
     assert str(err.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize(
+    "loader", [parse_vocabulary, read_pairs, ingest_judgements, read_scores, parse_mesh_records, load_ic_table],
+)
+def test_loaders_reject_a_file_that_is_not_utf8_naming_it(tmp_path, loader):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"#header\nabc\t\xff\n")
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    assert str(err.value).startswith(f"{path}: ") and "not UTF-8" in str(err.value)

@@ -73,8 +73,9 @@ def test_output_digests_runs_every_command(tmp_path):
     run = _script(tmp_path, "output_digests.py", tmp_path / "world", tmp_path / "out")
     assert run.returncode == 0, run.stderr
     digests = dict(reversed(line.split("  ")) for line in run.stdout.splitlines())
-    assert len(digests) == 43 and not any(name.endswith("manifest.json") for name in digests)
+    assert len(digests) == 44 and not any(name.endswith("manifest.json") for name in digests)
     cold, cached = digests["sweep-ref9.csv"], digests["sweep-ref9-cached.csv"]
-    assert cold == digests["sweep-ref9-fill.csv"] == cached
+    assert cold == digests["sweep-ref9-fill.csv"] == cached == digests["sweep-ref9-reordered-cached.csv"]
+    assert len(list((tmp_path / "out" / "work" / "cache").iterdir())) == 3  # g1 and dic at 1, dic at 2
     for name in ("relate-soft-ic-dic-w3-pairs", "relate-mts-g1-w16-pairs", "simmatrix-g1-l1"):
         assert digests[f"{name}-cached.tsv"] == digests[f"{name}.tsv"]
