@@ -16,7 +16,8 @@ A command whose ``--out`` names a regular file also writes
 and outputs, and timing.
 Result files themselves contain no timestamps, so a rerun with identical
 inputs is byte-identical.  ``--cache DIR`` keeps similarity matrices for reuse
-across commands, each named by a digest of what its search reads.
+across ``relate``, ``bench`` and ``sweep``, each named by a digest of what its
+search reads; ``ic``, ``graph`` and ``simmatrix`` accept it and ignore it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .relatedness import (
     read_scores,
     write_scores,
 )
-from .termgraph import ENTRY_RULE, SimMatrix, TermGraph, save_graph
+from .termgraph import ENTRY_RULE, SimMatrix, TermGraph, export_similarities, save_graph
 
 log = logging.getLogger("vocabrel")
 
@@ -257,12 +258,12 @@ def cmd_graph(args: argparse.Namespace) -> None:
 def cmd_simmatrix(args: argparse.Namespace) -> None:
     if not 0 < args.lam < math.inf:  # nan and inf fail too
         raise ConfigError(f"simmatrix needs a finite --lambda > 0, got {args.lam}")
-    ws = _workspace(args)
-    matrix = ws.matrix(args.graph, args.lam)
-    matrix.export(args.out)
+    ws = _workspace(args)  # the export reads no cache: its rows are not the store's block
+    restrict = ws.corpus.term_ids() if ws.corpus is not None else None
+    entries = export_similarities(ws.graph(args.graph), args.out, args.lam, args.eps, restrict)
     log.info(
         "wrote similarity matrix (%s, lambda=%g, eps=%g): %d stored entries -> %s",
-        matrix.kind, matrix.lam, matrix.eps, len(matrix), args.out,
+        args.graph, args.lam, args.eps, entries, args.out,
     )
 
 
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on unknown term/qualifier ids (default: strict)",
     )
     p_vocab.add_argument(
-        "--cache", help="directory for reusable similarity matrices, named by what their search reads",
+        "--cache", help="directory for the similarity matrices relate, bench and sweep reuse",
     )
 
     p_corpus = argparse.ArgumentParser(add_help=False)

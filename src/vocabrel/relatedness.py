@@ -20,10 +20,11 @@ cosine with S = I, read as index equality, so it needs no block; its rows
 hold the terms in sorted order, and the count of shared (term, qualifier)
 dimensions is added after the term sum, as the scalar formula adds it.
 Padding is an absent term, so a score is the same bits whichever pairs share
-its batch or step, and the same both ways round; and as rows keep their own
-term order, whichever soft or mts scorer, or ``soft_cosine``, added its terms
-to the store's one ``SimMatrix.block`` first.  A batch holds each document
-once and each pair as two positions; ``_score_ids`` looks each id up once for
+its batch or step, and the same both ways round.  Soft and mts scorers, and
+``soft_cosine``, index the store's ``SimMatrix.block`` itself (a term outside
+it, similar only to itself, pads a private copy); mts-rawdist reads its own
+block of negated distances.  A batch holds each document once and each pair
+as two positions; ``_score_ids`` looks each id up once for
 ``pairwise_scores``, ``ScoreSource`` and ``run_benchmark``.
 
 Scores are reported as computed, without clamping: the cosine of nonnegative
@@ -53,7 +54,7 @@ from .errors import (
 )
 from .infocontent import ICTable
 from .model import Corpus, Document, TermId, _iter_lines, _open_out, _source_path
-from .termgraph import SimMatrix, StoreArrays, _Block
+from .termgraph import SimMatrix
 
 # the parameters each method reads besides w; every other one keeps its default
 METHOD_PARAMS = {
@@ -182,13 +183,29 @@ def salton_cosine(
     return RelatednessScore(_one(_score_rows("salton", None, rows, [0], [1])), "salton")
 
 
-def _soft_row(vec: TermVector, block: _Block) -> _Row:
+def _placed(block: np.ndarray, index: dict[TermId, int], terms: Iterable[TermId],
+            self_value: float) -> tuple[np.ndarray, dict[TermId, int]]:
+    """``block`` and ``index`` with each of ``terms`` indexed: as they are, unless a term is outside.
+
+    An outside term is similar only to itself: its row and column of a padded
+    copy hold the padding's absent value, and ``self_value`` on the diagonal.
+    """
+    new = [t for t in dict.fromkeys(terms) if t not in index]
+    if not new:
+        return block, index
+    at = np.arange(len(block), len(block) + len(new))
+    block = np.pad(block, (0, len(new)), constant_values=block[0, 0])
+    block[at, at] = self_value
+    return block, {**index, **dict(zip(new, at.tolist()))}
+
+
+def _soft_row(vec: TermVector, block: np.ndarray, index: dict[TermId, int]) -> _Row:
     if not vec:
         raise EmptyDocumentError("soft cosine of an empty vector")
     keys = tuple(sorted(vec))
     weights = tuple(vec[k] for k in keys)
-    terms, w = [block.index[k] for k in keys], np.array(weights)
-    qform = _in_order(((block.array[np.ix_(terms, terms)] * w[:, None]) * w)[None])[0]  # x'Sx
+    terms, w = [index[k] for k in keys], np.array(weights)
+    qform = _in_order(((block[np.ix_(terms, terms)] * w[:, None]) * w)[None])[0]  # x'Sx
     return _Row(terms, weights, float(qform), (keys, weights))
 
 
@@ -200,12 +217,12 @@ def soft_cosine(x: TermVector, y: TermVector, matrix: SimMatrix) -> RelatednessS
     """
     if isinstance(x, QualifiedTermVector) or isinstance(y, QualifiedTermVector):
         raise ConfigError("soft cosine is not defined for qualifier-augmented vectors")
-    matrix.block.add(chain(x, y))
-    rows = [_soft_row(v, matrix.block) for v in (x, y)]
-    return RelatednessScore(_one(_score_rows("soft", matrix.block.array, rows, [0], [1])), "soft")
+    block, index = _placed(matrix.block, matrix.index, chain(x, y), 1.0)
+    rows = [_soft_row(v, block, index) for v in (x, y)]
+    return RelatednessScore(_one(_score_rows("soft", block, rows, [0], [1])), "soft")
 
 
-def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
+def _mts_row(doc: Document, w: float, slim: bool, index: dict[TermId, int]) -> _Row:
     if w < 1:
         raise ValueError(f"major weight must be >= 1, got {w}")
     if doc.is_empty:
@@ -214,7 +231,7 @@ def _mts_row(doc: Document, w: float, slim: bool, block: _Block) -> _Row:
     if not annotations:
         raise NoMajorTermsError(f"document {doc.id!r} has no major terms")
     weights = [w if a.is_major else 1.0 for a in annotations]
-    return _Row([block.index[a.term] for a in annotations], weights, float(np.cumsum(weights)[-1]))
+    return _Row([index[a.term] for a in annotations], weights, float(np.cumsum(weights)[-1]))
 
 
 def mts(
@@ -230,10 +247,10 @@ def mts(
     terms = list(dict.fromkeys(a.term for doc in (doc_a, doc_b) for a in doc.annotations))
     later, earlier = np.tril_indices(len(terms))  # every pair once, each term with itself too
     sims = np.fromiter(map(sim, [terms[i] for i in later], [terms[j] for j in earlier]), float, len(later))
-    block = _Block(StoreArrays(terms, later, earlier, sims), -math.inf, 0.0)  # sims may be negative
-    block.add(terms)
-    rows = [_mts_row(doc, w, slim, block) for doc in (doc_a, doc_b)]
-    return RelatednessScore(_one(_score_rows("mts", block.array, rows, [0], [1])), "mts")
+    block = np.full((len(terms) + 1,) * 2, -math.inf)  # padding, less than any sim: sims may be negative
+    block[later + 1, earlier + 1] = block[earlier + 1, later + 1] = sims
+    rows = [_mts_row(doc, w, slim, {t: k for k, t in enumerate(terms, 1)}) for doc in (doc_a, doc_b)]
+    return RelatednessScore(_one(_score_rows("mts", block, rows, [0], [1])), "mts")
 
 
 def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
@@ -244,25 +261,25 @@ def matrix_distance_fn(matrix: SimMatrix) -> SimFn:
     as the cutoff distance: -lambda*ln(eps) when eps > 0, otherwise one more
     than the largest materialized distance.
     """
-    neg_distance = _neg_distance_rule(matrix)
-    return lambda a, b: 0.0 if a == b else neg_distance(matrix.sim(a, b))
+    block, index = _raw_block(matrix), matrix.index
+    return lambda a, b: 0.0 if a == b else float(block[index.get(a, 0), index.get(b, 0)])
 
 
-def _neg_distance_rule(matrix: SimMatrix) -> Callable[[float], float]:
-    """The negated distance ``matrix_distance_fn`` gives a pair of stored similarity s (0 if absent)."""
+def _raw_block(matrix: SimMatrix) -> np.ndarray:
+    """mts-rawdist's block: ``matrix_distance_fn`` over the store's terms, by the scalar ``math.log``.
+
+    A pair with no entry, padding included, holds -cutoff, and the diagonal 0.0.
+    """
+    i, j, sims = matrix.stored()
     lam = matrix.lam
     if matrix.eps > 0.0:
         cutoff = -lam * math.log(matrix.eps)
-    else:
-        sims = matrix.arrays.sim  # the least similarity is the longest distance: log is monotone
+    else:  # the least similarity is the longest distance: log is monotone
         cutoff = (-lam * math.log(sims.min()) if len(sims) else 0.0) + 1.0
-
-    def neg_distance(s: float) -> float:
-        if s <= 0.0:
-            return -cutoff
-        return -min(cutoff, -lam * math.log(s))
-
-    return neg_distance
+    block = np.full(matrix.block.shape, -cutoff)
+    block[i, j] = block[j, i] = [-min(cutoff, -lam * math.log(s)) if s > 0.0 else -cutoff for s in sims.tolist()]
+    np.fill_diagonal(block[1:, 1:], 0.0)
+    return block
 
 
 @dataclass(frozen=True)
@@ -361,8 +378,8 @@ class Scorer:
     matrix: SimMatrix | None = None
     # id(document) -> (the document, kept so the id stays its own; its record or exception)
     _prepared: dict[int, tuple[Document, object]] = field(default_factory=dict, repr=False)
-    _block: _Block | None = field(default=None, repr=False)  # the store's block; mts-rawdist: its own
-    _index: dict[TermId, int] = field(default_factory=dict, repr=False)  # salton: the prepared terms
+    _block: np.ndarray | None = field(default=None, repr=False)  # the store's block; mts-rawdist: its own
+    _index: dict[TermId, int] = field(default_factory=dict, repr=False)  # a term's in the block; salton: its own
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -372,18 +389,15 @@ class Scorer:
         if cfg.uses_graph:
             if self.matrix is None:
                 raise ConfigError(f"configuration {cfg.tag()!r} needs a similarity matrix")
-            if cfg.raw_distance:  # its own block, of negated distances
-                neg_distance = _neg_distance_rule(self.matrix)
-                self._block = _Block(self.matrix.arrays, neg_distance(0.0), 0.0, neg_distance)
-            else:
-                self._block = self.matrix.block
+            self._block = _raw_block(self.matrix) if cfg.raw_distance else self.matrix.block
+            self._index = self.matrix.index
 
     def _record(self, doc: Document):
         cfg = self.config
         if cfg.method == "mts":
-            return _mts_row(doc, cfg.w, cfg.slim, self._block)
+            return _mts_row(doc, cfg.w, cfg.slim, self._index)
         vec = document_vector(doc, use_ic=cfg.vector == "ic", ic=self.ic, w=cfg.w, qualifiers=cfg.qualifiers)
-        return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block)
+        return _salton_row(vec, self._index) if cfg.method == "salton" else _soft_row(vec, self._block, self._index)
 
     def score(self, doc_a: Document, doc_b: Document) -> float:
         return _one(self.score_pairs([doc_a, doc_b], [0], [1]))
@@ -395,8 +409,9 @@ class Scorer:
         failed pair scores nan, and its exception is the one it raises alone.
         """
         fresh = list({id(d): d for d in docs if id(d) not in self._prepared}.values())  # each once
-        if self._block is not None:  # before reading the block: preparing grows it
-            self._block.add(t.term for d in fresh for t in d.annotations)
+        if self._block is not None:  # before preparing: an outside term pads a private copy of the block
+            terms, self_value = (t.term for d in fresh for t in d.annotations), float(not self.config.raw_distance)
+            self._block, self._index = _placed(self._block, self._index, terms, self_value)
         for doc in fresh:  # each document's record, or the exception preparing it raised
             try:
                 record = self._record(doc)
@@ -404,8 +419,7 @@ class Scorer:
                 record = exc
             self._prepared[id(doc)] = (doc, record)
         rows = [self._prepared[id(d)][1] for d in docs]
-        block = None if self._block is None else self._block.array
-        return _score_rows(self.config.method, block, rows, a, b, [d.id for d in docs])
+        return _score_rows(self.config.method, self._block, rows, a, b, [d.id for d in docs])
 
 
 PairScore = tuple[str, str, float]

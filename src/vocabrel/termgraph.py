@@ -1,4 +1,4 @@
-"""Term graphs, shortest-path distances, and the sparse term-similarity matrix.
+"""Term graphs, shortest-path distances, and the dense term-similarity store.
 
 Two graphs over the vocabulary: the unweighted graph (every parent-child pair
 is an edge of weight 1) and the IC-difference graph (same edges, weight
@@ -6,21 +6,20 @@ is an edge of weight 1) and the IC-difference graph (same edges, weight
 similarity is ``exp(-dist/lam)``; unreachable pairs have distance ``inf`` and
 similarity 0.
 
-Materializing all-pairs similarity over a 30k-term vocabulary is infeasible
-(~9e8 entries), so SimMatrix stores only entries above a cutoff ``eps``.
-``similarity_matrix`` searches from a batch of sources at a time over the
-graph's CSR arrays, in numpy: one frontier relaxation, a BFS on unit
-weights, pruned at the horizon ``-lam*ln(eps)``.  Cost is nondecreasing
-along a path, so no entry above eps is lost and the pruned store equals the
-unpruned one.  Each distance becomes ``math.exp(-d/lam)``, one entry at a
-time, and goes straight into the store's arrays.
+Scoring reads only the similarities among the terms documents carry, so a
+SimMatrix is one dense block of the similarities above a cutoff ``eps``
+among its terms (the corpus's terms on every CLI path).  ``similarity_matrix``
+searches from a batch of those terms at a time over the graph's CSR arrays,
+in numpy: one frontier relaxation, a BFS on unit weights, pruned at the
+horizon ``-lam*ln(eps)``.  Cost is nondecreasing along a path, so no
+similarity above eps is lost and the pruned store equals the unpruned one.
+Each batch keeps its columns of the store's terms; each distance there
+becomes ``math.exp(-d/lam)``, one cell at a time, straight into the block.
 
-A SimMatrix is its ``arrays``; the map keyed by term pairs is derived only
-when read.  ``SimMatrix.block`` grows from the arrays the dense similarities
-among the terms scored so far, one block per store; ``save``/``load`` keep
-the arrays as ``.npz`` for the cache, checked against the entry count and
-SHA-256 in their header; ``export`` writes the sorted TSV form that the
-``simmatrix`` command gives.
+``SimMatrix.save``/``load`` keep the block as ``.npz`` for the cache,
+checked against the entry count and SHA-256 in its header.
+``export_similarities`` writes the sources' complete rows over the whole
+graph, from the same searches, as the ``simmatrix`` command's sorted TSV.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -164,95 +163,55 @@ def _distances(csr: _CSR, sources: np.ndarray, horizon: float) -> np.ndarray:
     return dist
 
 
-class StoreArrays(NamedTuple):
-    """A store's entries as arrays: entry k joins ``terms[a[k]]`` and ``terms[b[k]]``."""
-
-    terms: Sequence[TermId]  # sorted: a built store's are the graph's, a hand-built one's its ends
-    a: np.ndarray  # positions in ``terms``: int32, a < b, in a SimMatrix's arrays
-    b: np.ndarray
-    sim: np.ndarray  # float64 similarities
-
-
-class _Block:
-    """Dense values of a symmetric similarity among the terms added so far, indexed from 1.
-
-    An entry of the store, mirrored, holds its ``sim`` or ``value(sim)``; a
-    term with itself holds ``self_value`` unless an entry joins the two, and
-    any other pair ``absent``, the least value.  Index 0 and the spare rows
-    that let batches add terms without a copy hold it too: padding is absent.
-    """
-
-    def __init__(self, store: StoreArrays, absent: float, self_value: float,
-                 value: Callable[[float], float] | None = None):
-        self.store, self.absent, self.self_value, self.value = store, absent, self_value, value
-        self.index: dict[TermId, int] = {}
-        self.array = np.full((1, 1), absent)
-        self._where = {t: k for k, t in enumerate(store.terms)}  # position in the store of each id
-        self._at = np.zeros(len(store.terms), np.int32)  # block index of each store id, 0 if none
-
-    def add(self, terms: Iterable[TermId]) -> None:
-        """Index each new term, its row and column scattered from the store's entries."""
-        old = len(self.index)
-        for t in terms:
-            self.index.setdefault(t, len(self.index) + 1)
-        new = len(self.index)
-        if new == old:
-            return
-        if new >= len(self.array):  # out of spare rows: grow by a quarter, or to fit
-            grow = max(new + 1, len(self.array) * 5 // 4) - len(self.array)
-            self.array = np.pad(self.array, (0, grow), constant_values=self.absent)
-        fresh = np.arange(old + 1, new + 1)
-        self.array[fresh, fresh] = self.self_value
-        placed = [(self._where[t], k) for t, k in islice(self.index.items(), old, None) if t in self._where]
-        if not placed:  # no new term has an entry
-            return
-        self._at[[p for p, _ in placed]] = [k for _, k in placed]
-        ia, ib = self._at[self.store.a], self._at[self.store.b]
-        hit = np.flatnonzero((np.minimum(ia, ib) > 0) & (np.maximum(ia, ib) > old))  # one end new
-        ia, ib, sims = ia[hit], ib[hit], self.store.sim[hit]
-        if self.value is not None:
-            sims = np.fromiter(map(self.value, sims.tolist()), float, len(sims))
-        self.array[ia, ib] = self.array[ib, ia] = sims
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class SimMatrix:
-    """Sparse symmetric term-similarity matrix with an implicit unit diagonal.
+    """Symmetric term similarities: one dense float64 block over the store's sorted ``terms``.
 
-    The store is its ``arrays``; off-diagonal entries are stored only when
-    strictly above the cutoff ``eps``, and everything else reads as 0.  A
-    store is built from its arrays, or by hand from ``entries``, a map from
-    a term pair ``(a, b)`` with ``a < b`` to its similarity, held as given.
-    ``entries`` is derived from the arrays only when something reads it:
-    itself, ``sim`` or equality; ``dataclasses.replace`` passes the arrays
-    on.  ``inputs`` is the digest of the inputs the store was built from, as
-    a cache records it; empty when unknown.
+    ``block`` is (k+1)² for k terms: cell ``[i+1, j+1]`` holds the stored
+    similarity of ``terms[i]`` and ``terms[j]``, strictly above the cutoff
+    ``eps``, or 0.0; the diagonal holds 1.0, and row and column 0, the
+    padding, hold 0.0: padding is an absent term.  A term outside ``terms``
+    is similar only to itself.  A store built by hand from ``entries``, a
+    map from a term pair ``(a, b)`` with ``a < b`` to its similarity, has
+    their ends as its terms; ``entries`` is derived from the block's upper
+    triangle when read.  ``inputs`` is the digest of the inputs the store
+    was built from, as a cache records it; empty when unknown.
     """
 
     kind: str  # the graph: "g1" or "dic"
     lam: float
     eps: float
     n: int  # terms in the graph
-    arrays: StoreArrays = field(repr=False)
+    terms: Sequence[TermId] = field(repr=False)
+    block: np.ndarray = field(repr=False)
     inputs: str = ""
 
-    def __init__(self, kind: str, lam: float, eps: float, n: int,
-                 entries: Mapping[tuple[TermId, TermId], float] | None = None,
-                 inputs: str = "", arrays: StoreArrays | None = None):
-        if (entries is None) == (arrays is None):
-            raise TypeError("a SimMatrix takes either entries or arrays")
-        if arrays is None:
-            vars(self)["entries"] = entries  # the cached value of ``entries``
-            arrays = _entry_arrays(entries)
+    def __init__(self, kind: str, lam: float, eps: float, n: int, terms: Sequence[TermId] = (),
+                 block: np.ndarray | None = None, inputs: str = "",
+                 entries: Mapping[tuple[TermId, TermId], float] | None = None):
+        if (entries is None) == (block is None):
+            raise TypeError("a SimMatrix takes either entries or its terms and block")
+        if entries is not None:
+            terms, block = _entry_block(entries)
         # past the frozen __setattr__, as cached_property writes
-        vars(self).update(kind=kind, lam=lam, eps=eps, n=n, arrays=arrays, inputs=inputs)
+        vars(self).update(kind=kind, lam=lam, eps=eps, n=n, terms=terms, block=block, inputs=inputs)
+
+    @cached_property
+    def index(self) -> dict[TermId, int]:
+        """Each term's row and column in ``block``."""
+        return {t: k for k, t in enumerate(self.terms, 1)}
+
+    def stored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries: their rows ``i`` and columns ``j > i`` in ``block``, and similarities."""
+        i, j = np.nonzero(np.triu(self.block, 1))
+        return i, j, self.block[i, j]
 
     @cached_property
     def entries(self) -> Mapping[tuple[TermId, TermId], float]:
-        """The entries keyed by term pair, derived from the arrays when first read."""
-        terms, a, b, sims = self.arrays
-        keys = zip(map(terms.__getitem__, a.tolist()), map(terms.__getitem__, b.tolist()))
-        return dict(zip(keys, sims.tolist()))
+        """The entries keyed by term pair, derived from the block when first read."""
+        i, j, sims = self.stored()
+        terms = self.terms
+        return {(terms[a - 1], terms[b - 1]): s for a, b, s in zip(i.tolist(), j.tolist(), sims.tolist())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimMatrix):
@@ -261,27 +220,19 @@ class SimMatrix:
                 and self.entries == other.entries)
 
     def sim(self, a: TermId, b: TermId) -> float:
-        if a == b:
-            return 1.0
-        key = (a, b) if a < b else (b, a)
-        return self.entries.get(key, 0.0)
+        return 1.0 if a == b else float(self.block[self.index.get(a, 0), self.index.get(b, 0)])
 
     def __len__(self) -> int:
-        return len(self.arrays.sim)
-
-    @cached_property
-    def block(self) -> _Block:
-        """The similarities among the terms scored so far, grown on demand; every soft and mts scorer reads it."""
-        return _Block(self.arrays, 0.0, 1.0)
+        # every cell but the padding and the diagonal's 1.0 is one of a mirrored pair
+        return (int(np.count_nonzero(self.block)) - len(self.terms)) // 2
 
     def save(self, dest: str | Path | IO[bytes]) -> None:
-        """Write the ``.npz`` cache form: the arrays, and a header with their count and digest."""
-        terms, a, b, sims = self.arrays
-        if any(t.endswith("\0") for t in terms):
+        """Write the ``.npz`` cache form: the terms, the block, and a header with their entry count and digest."""
+        if any(t.endswith("\0") for t in self.terms):
             raise ValueError("a term id ending in NUL cannot be stored")  # numpy strips it
-        arrays = {"terms": np.array(terms, dtype=str), "a": a, "b": b, "sim": sims}
+        arrays = {"terms": np.array(self.terms, dtype=str), "block": self.block}
         header = {"graph": self.kind, "lambda": self.lam, "eps": self.eps, "n": self.n,
-                  "entries": len(sims), "sha256": _arrays_sha256(arrays), "inputs": self.inputs}
+                  "entries": len(self), "sha256": _arrays_sha256(arrays), "inputs": self.inputs}
         with _open_out(dest, binary=True) as fh:
             np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
@@ -302,59 +253,92 @@ class SimMatrix:
             inputs = str(fields.get("inputs", ""))  # a store written without it fits no request
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad header field: {exc}", path) from exc
-        for name, dtype in _STORE_ARRAYS.items():
-            array = arrays[name]
-            if array.dtype.kind != dtype or array.ndim != 1 or (name != "terms" and len(array) != declared):
-                raise ParseError(f"array {name!r} is not {declared} entries of kind {dtype!r}", path)
+        for name, (dtype, ndim) in _STORE_ARRAYS.items():
+            if arrays[name].dtype.kind != dtype or arrays[name].ndim != ndim:
+                raise ParseError(f"array {name!r} is not {ndim}-dimensional of kind {dtype!r}", path)
+        terms, block = arrays["terms"], arrays["block"]
+        if block.shape != (len(terms) + 1,) * 2:
+            raise ParseError(f"block is not square with side {len(terms) + 1}, one more than the terms", path)
         if digest != _arrays_sha256(arrays):
             raise ParseError("arrays do not match the header's sha256", path)
-        terms, a, b, sims = arrays["terms"], arrays["a"], arrays["b"], arrays["sim"]
-        if not (terms[1:] > terms[:-1]).all():  # export's order and the block's lookups rely on it
+        if not (terms[1:] > terms[:-1]).all():  # the index and the cache's lookups rely on it
             raise ParseError("term ids are not strictly increasing", path)
-        if declared and not (a.min() >= 0 and (a < b).all() and b.max() < len(terms)):
-            raise ParseError("end indices out of range or out of order", path)
-        return cls(kind=kind, lam=lam, eps=eps, n=n, inputs=inputs,
-                   arrays=StoreArrays(terms.tolist(), a, b, sims))
-
-    def export(self, dest: str | Path | IO[str]) -> None:
-        """Write the TSV form, as ``simmatrix --out`` gives it: one line per entry, sorted by ids."""
-        terms, a, b, sims = self.arrays
-        order = np.lexsort((b, a))  # terms are sorted: (a, b) order is the ids' order
-        with _open_out(dest) as fh:
-            fh.write(
-                f"#simmatrix graph={self.kind} lambda={self.lam:.17g} entries={len(sims)} "
-                f"eps={self.eps:.17g} n={self.n}\n"
-            )
-            for start in range(0, len(order), 4096):  # written a block of lines at a time
-                at = order[start : start + 4096]
-                fh.write("".join(f"{terms[i]}\t{terms[j]}\t{s:.17g}\n"
-                                 for i, j, s in zip(a[at].tolist(), b[at].tolist(), sims[at].tolist())))
+        matrix = cls(kind=kind, lam=lam, eps=eps, n=n, terms=terms.tolist(), block=block, inputs=inputs)
+        if len(matrix) != declared:
+            raise ParseError(f"block holds {len(matrix)} entries, the header says {declared}", path)
+        return matrix
 
 
-def _entry_arrays(entries: Mapping[tuple[TermId, TermId], float]) -> StoreArrays:
-    """A hand-built store's entries as arrays, in their order."""
+def _entry_block(entries: Mapping[tuple[TermId, TermId], float]) -> tuple[list[TermId], np.ndarray]:
+    """A hand-built store's terms, the ends of its entries, and its block."""
     terms = sorted(set(chain.from_iterable(entries)))
-    position = {t: k for k, t in enumerate(terms)}
-    ends = np.fromiter(map(position.__getitem__, chain.from_iterable(entries)), np.int32, 2 * len(entries))
-    return StoreArrays(terms, ends[0::2], ends[1::2], np.fromiter(entries.values(), np.float64, len(entries)))
+    index = {t: k for k, t in enumerate(terms, 1)}
+    block = np.diag(np.r_[0.0, np.ones(len(terms))])  # no entry yet: padding 0.0, the diagonal 1.0
+    i, j = [index[a] for a, _ in entries], [index[b] for _, b in entries]
+    block[i, j] = block[j, i] = list(entries.values())
+    return terms, block
 
 
-# the store's arrays and the numpy kind of each: str ids, int end indices, float similarities
-_STORE_ARRAYS = {"terms": "U", "a": "i", "b": "i", "sim": "f"}
+# the store's arrays, with the numpy kind and the dimensions of each: str ids, float similarities
+_STORE_ARRAYS = {"terms": ("U", 1), "block": ("f", 2)}
 
 
 def _arrays_sha256(arrays: Mapping[str, np.ndarray]) -> str:
     digest = hashlib.sha256()
     for name in _STORE_ARRAYS:
-        array = arrays[name]
+        array = np.ascontiguousarray(arrays[name])
         digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
-        digest.update(array.tobytes())
+        digest.update(array)  # the bytes, without a copy
     return digest.hexdigest()
 
 
-# names the rule by which similarity_matrix picks an entry between two sources; a cache folds
+# names the rule by which a search picks the similarity between two sources; a cache folds
 # it into the inputs digest a store records, so a store built under an earlier rule is rebuilt
 ENTRY_RULE = "entry-rule: an entry between two sources comes from the larger id's search"
+
+
+def _sources(graph: TermGraph, lam: float, eps: float, restrict: Iterable[TermId] | None) -> np.ndarray:
+    """The positions in ``graph.csr`` of the search sources, ascending: ``restrict``'s terms, or every term."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+    if not 0 <= eps < 1:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    csr = graph.csr
+    if restrict is None:
+        return np.arange(len(csr.terms))
+    wanted = sorted(set(restrict))
+    unknown = [t for t in wanted if t not in csr.position]
+    if unknown:
+        raise KeyError(f"unknown term {unknown[0]!r}")
+    return np.array([csr.position[t] for t in wanted], np.int64)
+
+
+def _searched(csr: _CSR, sources: np.ndarray, lam: float, eps: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Each batch of ``sources`` searched, as many as keep its blocks under ``_BATCH_BYTES``: its start and distances.
+
+    Row r holds the distances from ``sources[start + r]`` to every node, inf
+    where the search stopped, at the source itself, and at every source of
+    larger id, whose own search gives that pair (``ENTRY_RULE``).
+    """
+    n = len(csr.terms)
+    is_source = np.zeros(n, bool)
+    is_source[sources] = True
+    # a little past -lam*ln(eps), so that no cost the exact math.exp test of _kept keeps is pruned
+    horizon = -lam * math.log(eps) * (1 + 1e-9) if eps > 0 else math.inf
+    batch = max(1, _BATCH_BYTES // (16 * max(n, 1)))
+    for start in range(0, len(sources), batch):
+        src = sources[start : start + batch]
+        dist = _distances(csr, src, horizon)
+        dist[is_source & (np.arange(n) >= src[:, None])] = math.inf
+        yield start, dist
+
+
+def _kept(dist: np.ndarray, lam: float, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and similarities ``math.exp(-d/lam)`` (a scalar search's bits) of cells above eps."""
+    rows, cols = np.nonzero(dist < math.inf)
+    sims = np.fromiter(map(math.exp, (-dist[rows, cols] / lam).tolist()), np.float64, len(rows))
+    kept = sims > eps
+    return rows[kept], cols[kept], sims[kept]
 
 
 def similarity_matrix(
@@ -363,54 +347,54 @@ def similarity_matrix(
     eps: float = 1e-4,
     restrict: Iterable[TermId] | None = None,
 ) -> SimMatrix:
-    """Materialize similarities ``exp(-dist/lam) > eps`` as a SimMatrix of arrays.
+    """The similarities ``exp(-dist/lam) > eps`` among the ``restrict`` terms (or all), as a SimMatrix.
 
-    The sources are searched a batch at a time, as many as keep the batch's
-    dense blocks under ``_BATCH_BYTES``; each distance becomes
-    ``math.exp(-d/lam)``, the bits a scalar search gives, and each batch's
-    entries go straight into the store's arrays.
-
-    With ``restrict`` given, only those terms (typically the terms occurring
-    in the corpus) are search sources: a stored entry has at least one of them
-    as an end, and each of their rows is complete, its other ends ranging over
-    the whole graph.  An entry between two sources holds what the search from
-    the larger id finds: the two directions' path sums can differ in the last
-    bit, and taking one of them always keeps the pruned store equal to the
+    The store's terms are the search sources; each batch of them keeps its
+    columns of the store's terms, each cell straight into the block,
+    mirrored.  A similarity between two sources holds what the search from
+    the larger id finds: the two directions' path sums can differ in the
+    last bit, and taking one of them keeps the pruned store equal to the
     unpruned one above eps.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and positive, got {lam}")
-    if not 0 <= eps < 1:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    csr = graph.csr
-    if restrict is None:
-        sources = np.arange(len(csr.terms))
-    else:
-        wanted = sorted(set(restrict))
-        unknown = [t for t in wanted if t not in csr.position]
-        if unknown:
-            raise KeyError(f"unknown term {unknown[0]!r}")
-        sources = np.array([csr.position[t] for t in wanted], np.int64)
-    n = len(csr.terms)
-    is_source = np.zeros(n, bool)
-    is_source[sources] = True
-    # a little past -lam*ln(eps), so that no cost the exact math.exp test below keeps is pruned
-    horizon = -lam * math.log(eps) * (1 + 1e-9) if eps > 0 else math.inf
-    batch = max(1, _BATCH_BYTES // (16 * max(n, 1)))
-    parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]  # an empty store's arrays
-    for start in range(0, len(sources), batch):
-        src = sources[start : start + batch]
-        dist = _distances(csr, src, horizon)
-        # a row's own term, and another source of larger id, whose search gives that entry
-        dist[is_source & (np.arange(n) >= src[:, None])] = math.inf
-        rows, cols = np.nonzero(dist < math.inf)
-        sims = np.fromiter(map(math.exp, (-dist[rows, cols] / lam).tolist()), np.float64, len(rows))
-        kept = sims > eps
-        one, other = src[rows[kept]], cols[kept]
-        parts.append((np.minimum(one, other).astype(np.int32), np.maximum(one, other).astype(np.int32),
-                      sims[kept]))
+    csr, sources = graph.csr, _sources(graph, lam, eps, restrict)
+    block = np.diag(np.r_[0.0, np.ones(len(sources))])  # no entry yet: padding 0.0, the diagonal 1.0
+    for start, dist in _searched(csr, sources, lam, eps):
+        rows, cols, sims = _kept(dist[:, sources], lam, eps)
+        rows, cols = rows + (start + 1), cols + 1
+        block[rows, cols] = block[cols, rows] = sims
+    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=len(csr.terms),
+                     terms=[csr.terms[k] for k in sources.tolist()], block=block)
+
+
+def export_similarities(
+    graph: TermGraph,
+    dest: str | Path | IO[str],
+    lam: float,
+    eps: float = 1e-4,
+    restrict: Iterable[TermId] | None = None,
+) -> int:
+    """Write the TSV form ``simmatrix --out`` gives, and return its count of entries.
+
+    One line per similarity ``exp(-dist/lam) > eps`` with an end among the
+    ``restrict`` terms (or any), sorted by ids: their complete rows over the
+    whole graph, from the searches ``similarity_matrix`` runs.
+    """
+    csr, sources = graph.csr, _sources(graph, lam, eps, restrict)
+    parts = [(np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0))]  # no entry at all
+    for start, dist in _searched(csr, sources, lam, eps):
+        rows, cols, sims = _kept(dist, lam, eps)
+        one = sources[start + rows]
+        parts.append((np.minimum(one, cols).astype(np.int32), np.maximum(one, cols).astype(np.int32), sims))
     a, b, sims = (np.concatenate(part) for part in zip(*parts))
-    return SimMatrix(kind=graph.kind, lam=lam, eps=eps, n=n, arrays=StoreArrays(csr.terms, a, b, sims))
+    order, terms = np.lexsort((b, a)), csr.terms  # positions in the sorted ids: (a, b) order is the ids' order
+    with _open_out(dest) as fh:
+        fh.write(f"#simmatrix graph={graph.kind} lambda={lam:.17g} entries={len(sims)} "
+                 f"eps={eps:.17g} n={len(terms)}\n")
+        for start in range(0, len(order), 4096):  # written a block of lines at a time
+            at = order[start : start + 4096]
+            fh.write("".join(f"{terms[i]}\t{terms[j]}\t{s:.17g}\n"
+                             for i, j, s in zip(a[at].tolist(), b[at].tolist(), sims[at].tolist())))
+    return len(sims)
 
 
 def save_graph(graph: TermGraph, dest: str | Path | IO[str]) -> None:
@@ -432,10 +416,10 @@ __all__ = [
     "UNREACHABLE",
     "TermGraph",
     "SimMatrix",
-    "StoreArrays",
     "build_unweighted_graph",
     "build_ic_weighted_graph",
     "single_source_distances",
     "similarity_matrix",
+    "export_similarities",
     "save_graph",
 ]

@@ -60,19 +60,37 @@ def test_graph_command(synth_files, tmp_path):
     assert out.read_text().startswith("#termgraph kind=g1 ")
 
 
-def test_simmatrix_cache_round_trip(synth_files, tmp_path):
+def _soft_relate(synth_files, *args):
+    """``relate`` arguments for a soft cosine over every corpus pair."""
+    return ("relate", "--vocab", synth_files["vocab"], "--method", "soft", "--lambda", "1", *args)
+
+
+def test_simmatrix_cache_round_trip(synth_files, tmp_path, caplog):
+    caplog.set_level("INFO")
     cache = tmp_path / "cache"
     out1, out2, out3 = (tmp_path / f"m{i}.tsv" for i in range(3))
-    args = (
-        "simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
-        "--graph", "dic", "--lambda", "1.5", "--cache", cache,
-    )
+    args = _soft_relate(synth_files, "--corpus", synth_files["corpus"], "--graph", "dic", "--cache", cache)
     assert run(*args, "--out", out1) == 0
     assert run(*args, "--out", out2) == 0  # cache hit
+    assert caplog.text.count("cache hit: similarity matrix") == 1
     shutil.rmtree(cache)
     assert run(*args, "--out", out3) == 0  # rebuilt from scratch
     assert sha(out1) == sha(out2) == sha(out3)
-    assert out1.read_text().startswith("#simmatrix graph=dic lambda=1.5 ")
+    assert out1.read_text().startswith("#method soft vector=binary qualifiers=. graph=dic w=1 lambda=1 ")
+
+
+def test_simmatrix_writes_the_same_bytes_with_a_cache_and_leaves_it_empty(synth_files, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    args = ("simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
+            "--graph", "dic", "--lambda", "1.5")
+    outputs = []
+    for cached in ((), ("--cache", cache), ("--cache", cache)):
+        outputs.append(tmp_path / f"m{len(outputs)}.tsv")
+        assert run(*args, *cached, "--out", outputs[-1]) == 0
+    assert sha(outputs[0]) == sha(outputs[1]) == sha(outputs[2])
+    assert outputs[0].read_text().startswith("#simmatrix graph=dic lambda=1.5 ")
+    assert not list(cache.iterdir())
 
 
 def test_relate_defaults_to_all_pairs(synth_files, tmp_path, capsys):
@@ -361,8 +379,7 @@ def test_store_without_integrity_fields_is_rebuilt(synth_files, tmp_path, caplog
     def strip(header, arrays):
         # a store whose header lacks its entry count and digest, cut short
         del header["entries"], header["sha256"]
-        for name in ("a", "b", "sim"):
-            arrays[name] = arrays[name][: len(arrays[name]) // 2]
+        arrays["block"] = arrays["block"][: len(arrays["block"]) // 2]
 
     store.write_bytes(rewrite_store(data, strip))
     caplog.clear()
@@ -400,8 +417,7 @@ def test_dic_store_built_from_another_frequency_source_is_rebuilt(synth_files, t
     freq = tmp_path / "freq.tsv"
     terms = sorted(parse_vocabulary(synth_files["vocab"]).terms)
     freq.write_text("".join(f"{t}\t{i % 7}\n" for i, t in enumerate(terms)))
-    args = ("simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
-            "--graph", "dic", "--lambda", "1", "--cache", cache)
+    args = _soft_relate(synth_files, "--corpus", synth_files["corpus"], "--graph", "dic", "--cache", cache)
     from_table, fresh, after_copy = (tmp_path / f"{name}.tsv" for name in ("table", "fresh", "copy"))
     assert run(*args, "--freq-table", freq, "--out", from_table) == 0
     [table_store] = cache.glob("simmatrix-*.npz")
@@ -419,8 +435,7 @@ def test_dic_store_built_from_another_frequency_source_is_rebuilt(synth_files, t
 
 def test_store_cached_under_the_earlier_entry_rule_is_rebuilt(synth_files, tmp_path, caplog, monkeypatch):
     cache = tmp_path / "cache"
-    args = ("simmatrix", "--vocab", synth_files["vocab"], "--corpus", synth_files["corpus"],
-            "--graph", "dic", "--lambda", "1")
+    args = _soft_relate(synth_files, "--corpus", synth_files["corpus"], "--graph", "dic")
     fresh, after = tmp_path / "fresh.tsv", tmp_path / "after.tsv"
     assert run(*args, "--out", fresh) == 0
     # cache the store as the earlier rule did: its header's inputs digest names no entry rule
@@ -438,12 +453,11 @@ def test_store_cached_under_the_earlier_entry_rule_is_rebuilt(synth_files, tmp_p
 
 
 def _cached_stores(synth_files, cache, *inputs):
-    """The bytes of the g1 and dic stores at lambda 1 exported through ``cache``."""
+    """The bytes of ``relate`` on the g1 and dic stores at lambda 1, read through ``cache``."""
     outputs = []
     for graph in ("g1", "dic"):
         out = Path(cache).parent / f"{graph}.tsv"
-        assert run("simmatrix", "--vocab", synth_files["vocab"], *inputs, "--graph", graph,
-                   "--lambda", "1", "--cache", cache, "--out", out) == 0
+        assert run(*_soft_relate(synth_files, *inputs, "--graph", graph, "--cache", cache, "--out", out)) == 0
         outputs.append(out.read_bytes())
     return outputs
 

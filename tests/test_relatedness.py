@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from vocabrel.errors import (
     VocabrelError,
 )
 from vocabrel.infocontent import ICTable
+from vocabrel import relatedness
 from vocabrel.model import Document
 from vocabrel.relatedness import (
     _CHUNK,
+    _placed,
     MethodConfig,
     Scorer,
     matrix_distance_fn,
@@ -552,7 +555,7 @@ def test_kernel_matches_the_oracles_and_no_batch_moves_a_bit(seed):
 
 @given(st.integers(0, 10_000))
 def test_soft_and_mts_on_one_store_read_one_block_in_either_order(seed):
-    # each step adds its documents' terms to the store's block in its own order, and no score
+    # every step's kernel reads the store's block itself, which nothing writes, and no score
     # moves a bit from the same pairs scored on a copy of the store that no scorer has read
     rng = random.Random(seed)
     graph, ic, docs, _ = _kernel_world(rng)
@@ -573,19 +576,50 @@ def test_soft_and_mts_on_one_store_read_one_block_in_either_order(seed):
     # soft_cosine reads no term of a pair whose vector fails to build
     asked["soft_cosine"] = [(a, b) for a, b in asked["soft_cosine"] if not (a.is_empty or b.is_empty)]
     rawdist = MethodConfig.from_label("mts-rawdist", graph="dic", lam=1.0, w=2)
+
+    def kernel_blocks(score, *args):
+        """What ``score(*args)`` gives, and the block each of its kernel calls read."""
+        with mock.patch.object(relatedness, "_score_rows", side_effect=relatedness._score_rows) as kernel:
+            return score(*args), [call.args[1] for call in kernel.call_args_list]
+
     for order in (list(steps), list(steps)[::-1]):
-        matrix, added = replace(store), set()
-        block = matrix.block
+        block = store.block.copy()
+        block.flags.writeable = False
+        matrix = replace(store, block=block)
         for name in order:
-            got, fresh = steps[name](matrix, asked[name]), steps[name](replace(store), asked[name])
+            got, read = kernel_blocks(steps[name], matrix, asked[name])
+            fresh = steps[name](replace(store, block=store.block.copy()), asked[name])
             assert [_fingerprint(o) for o in got] == [_fingerprint(o) for o in fresh]
-            added |= {t for pair in asked[name] for doc in pair for t in doc.term_ids()}
-            assert matrix.block is block and set(block.index) == added
+            assert all(b is block for b in read) and (read or not asked[name])
         for config in (soft, mts_config):
             assert Scorer(config=config, ic=ic, matrix=matrix)._block is block
         rawdist_scorer = Scorer(config=rawdist, ic=ic, matrix=matrix)
-        score_doc_pairs(rawdist_scorer, every_pair)
-        assert rawdist_scorer._block is not block and set(block.index) == added
+        _, read = kernel_blocks(score_doc_pairs, rawdist_scorer, every_pair)
+        assert rawdist_scorer._block is not block and all(b is rawdist_scorer._block for b in read)
+        assert matrix.block is block and block.tobytes() == store.block.tobytes()
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["soft-binary", "soft-ic", "mts", "mts-slim", "mts-rawdist",
+                                                "mts-rawdist-eps0"]))
+def test_a_term_outside_a_restricted_store_scores_as_on_a_hand_built_store(seed, name):
+    # a restricted store's terms are the search sources; an outside term is similar only to itself,
+    # as on a store built by hand from the same entries, whose terms are their ends alone
+    rng = random.Random(seed)
+    graph, ic, docs, _ = _kernel_world(rng)
+    config = KERNEL_CONFIGS[name]
+    restrict = rng.sample(sorted(graph.adj), rng.randint(0, len(graph.adj)))
+    store = similarity_matrix(graph, lam=config.lam, eps=config.eps, restrict=restrict)
+    hand_built = SimMatrix(kind="dic", lam=config.lam, eps=config.eps, n=store.n, entries=store.entries)
+    pairs = [(a, b) for a in docs for b in docs]
+    assert store.block.shape == (len(restrict) + 1,) * 2
+    outcomes = []
+    for matrix in (store, hand_built):
+        outcomes.append([_fingerprint(o) for o in score_doc_pairs(Scorer(config=config, ic=ic, matrix=matrix), pairs)])
+        if config.method == "soft":
+            vector = lambda doc: document_vector(doc, use_ic=config.vector == "ic", ic=ic, w=config.w)
+            outcomes[-1] += [_fingerprint(_outcome(lambda x, y: soft_cosine(vector(x), vector(y), matrix).value, a, b))
+                             for a, b in pairs if not (a.is_empty or b.is_empty)]
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("how", ["built", "replaced", "loaded"])
@@ -637,7 +671,7 @@ def test_salton_zero_vector_fails_as_its_pair_is_scored():
         assert [(type(e), str(e)) for e in got] == want
 
 
-# --- the term block scattered from the store's arrays ---------------------------
+# --- the store's block, and mts-rawdist's, against sim calls ---------------------
 
 BLOCK_IDS = ["a", "b", "c", "ß", "日本", "t1", "t10", "x\0", "y\0\0"]  # the NUL ids stay in memory
 LOG_ROUNDS_APART = 0.5699993338763802  # np.log gives it one ulp off math.log (x86-64, numpy 2)
@@ -689,10 +723,13 @@ def test_scattered_block_equals_the_block_filled_by_sim_calls(entries, eps, lam,
         assert matrix.entries == entries
     config = MethodConfig("mts", graph="dic", lam=lam, eps=eps, raw_distance=True)
     rawdist = Scorer(config=config, ic=ICTable(ic={}, aggregate={}, denominator=1), matrix=matrix)
-    for block, sim in [(matrix.block, matrix.sim), (rawdist._block, _neg_distance_by_sim(matrix))]:
-        for batch in batches:
-            block.add(batch)
-        terms = list(block.index)
-        assert terms == list(dict.fromkeys(t for batch in batches for t in batch))
-        # index 0 and every spare row hold the absent value; -0.0 is not 0.0
-        assert block.array.tobytes() == _block_by_sim(sim, terms, len(block.array)).tobytes()
+    outside = [t for t in dict.fromkeys(t for batch in batches for t in batch) if t not in matrix.index]
+    for block, sim, self_value in [(matrix.block, matrix.sim, 1.0),
+                                   (rawdist._block, _neg_distance_by_sim(matrix), 0.0)]:
+        index = matrix.index
+        for batch in batches:  # the terms outside the store pad a copy, as a scorer's batches do
+            block, index = _placed(block, index, batch, self_value)
+        terms = sorted(index, key=index.get)
+        assert terms == sorted({t for key in entries for t in key}) + outside
+        # index 0 holds the absent value; -0.0 is not 0.0
+        assert block.tobytes() == _block_by_sim(sim, terms, len(block)).tobytes()

@@ -16,6 +16,7 @@ from vocabrel.termgraph import (
     _arrays_sha256,
     build_ic_weighted_graph,
     build_unweighted_graph,
+    export_similarities,
     save_graph,
     similarity_matrix,
     single_source_distances,
@@ -99,13 +100,27 @@ def test_simmatrix_high_eps_keeps_only_diagonal(chain_vocab):
     assert matrix.sim("r", "r") == 1.0
 
 
+def _exported(graph, lam, eps, restrict=None) -> tuple[str, dict]:
+    """The header line and the entries, keyed by term pair, of the ``simmatrix`` export."""
+    buf = io.StringIO()
+    export_similarities(graph, buf, lam, eps, restrict)
+    header, *lines = buf.getvalue().splitlines()
+    rows = [line.split("\t") for line in lines]
+    assert [(a, b) for a, b, _ in rows] == sorted((a, b) for a, b, _ in rows)
+    return header, {(a, b): float(s) for a, b, s in rows}  # %.17g: bit-exact
+
+
 def test_simmatrix_restrict_limits_rows(chain_vocab):
     graph = build_unweighted_graph(chain_vocab)
+    # the export holds the complete rows of the restricted terms, the block only pairs of them
+    assert set(_exported(graph, 1.0, 0.01, {"r"})[1]) == {("c", "r"), ("g", "r")}
     matrix = similarity_matrix(graph, lam=1.0, eps=0.01, restrict={"r"})
-    assert set(matrix.entries) == {("c", "r"), ("g", "r")}
-    assert matrix.sim("c", "g") == 0.0  # not materialized: no restricted source
-    with pytest.raises(KeyError):
-        similarity_matrix(graph, lam=1.0, restrict={"zzz"})
+    assert matrix.terms == ["r"] and matrix.entries == {} and len(matrix) == 0
+    assert matrix.sim("c", "r") == matrix.sim("c", "g") == 0.0  # outside the store's terms
+    assert matrix.sim("c", "c") == 1.0
+    for build in (similarity_matrix, lambda graph, **kw: export_similarities(graph, io.StringIO(), **kw)):
+        with pytest.raises(KeyError):
+            build(graph, lam=1.0, restrict={"zzz"})
 
 
 def _store_bytes(matrix: SimMatrix) -> bytes:
@@ -183,8 +198,8 @@ def test_simmatrix_without_an_integrity_field_fails_to_load(diamond_vocab, tmp_p
 
 
 def _edit_similarity(header, arrays):
-    arrays["sim"] = arrays["sim"].copy()
-    arrays["sim"][0] /= 2
+    arrays["block"] = arrays["block"].copy()
+    arrays["block"][1, 2] /= 2
 
 
 def _edit_count(header, arrays):
@@ -192,11 +207,16 @@ def _edit_count(header, arrays):
 
 
 def _drop_member(header, arrays):
-    del arrays["b"]
+    del arrays["block"]
 
 
 def _wrong_dtype(header, arrays):
-    arrays["sim"] = arrays["sim"].astype(str)
+    arrays["block"] = arrays["block"].astype(str)
+
+
+def _not_square(header, arrays):
+    arrays["block"] = arrays["block"][:, 1:]
+    header["sha256"] = _arrays_sha256(arrays)  # a store written so, not a damaged one
 
 
 def _drop_graph(header, arrays):
@@ -212,13 +232,14 @@ def _swap_terms(header, arrays):
     "edit, message",
     [
         (_edit_similarity, "arrays do not match the header's sha256"),
-        (_edit_count, "array 'a' is not 7 entries"),
+        (_edit_count, "block holds 6 entries, the header says 7"),
         (_drop_member, "unreadable store: "),
-        (_wrong_dtype, "array 'sim' is not 6 entries of kind 'f'"),
+        (_wrong_dtype, "array 'block' is not 2-dimensional of kind 'f'"),
         (_drop_graph, "bad header field: 'graph'"),
         (_swap_terms, "term ids are not strictly increasing"),
+        (_not_square, "block is not square with side 5, one more than the terms"),
     ],
-    ids=["similarity", "entry-count", "member", "dtype", "header-field", "terms-order"],
+    ids=["similarity", "entry-count", "member", "dtype", "header-field", "terms-order", "not-square"],
 )
 def test_simmatrix_edited_store_fails_to_load(diamond_vocab, tmp_path, edit, message):
     path = tmp_path / "store.npz"
@@ -229,14 +250,11 @@ def test_simmatrix_edited_store_fails_to_load(diamond_vocab, tmp_path, edit, mes
 
 
 def test_simmatrix_export_is_sorted_text(diamond_vocab):
-    matrix = similarity_matrix(build_unweighted_graph(diamond_vocab), lam=1.0, eps=0.01)
-    buf = io.StringIO()
-    matrix.export(buf)
-    header, *lines = buf.getvalue().splitlines()
+    graph = build_unweighted_graph(diamond_vocab)
+    matrix = similarity_matrix(graph, lam=1.0, eps=0.01)  # over every term: the export's entries
+    header, entries = _exported(graph, 1.0, 0.01)
     assert header == f"#simmatrix graph=g1 lambda=1 entries={len(matrix)} eps=0.01 n={matrix.n}"
-    rows = [line.split("\t") for line in lines]
-    assert [(a, b) for a, b, _ in rows] == sorted(matrix.entries)
-    assert {(a, b): float(s) for a, b, s in rows} == matrix.entries  # %.17g: bit-exact
+    assert entries == matrix.entries
 
 
 def test_ic_table_cut_anywhere_fails_to_load_or_loads_unchanged(ic_fixture):
@@ -365,7 +383,19 @@ def test_store_equals_the_scalar_searches_bit_for_bit(seed, lam, eps, subset):
             restrict = rng.sample(sorted(graph.adj), rng.randint(0, len(graph.adj)))
         store = similarity_matrix(graph, lam=lam, eps=eps, restrict=restrict)
         expected = oracles.scalar_store(graph.adj, graph.kind == "g1", lam, eps, restrict)
-        assert {key: s.hex() for key, s in store.entries.items()} == {key: s.hex() for key, s in expected.items()}
+        # the block: the entries among the store's terms, 0.0 where none is and on the padding, 1.0 on
+        # the diagonal; the export: every entry, the sources' complete rows
+        terms = sorted(graph.adj if restrict is None else restrict)
+        at = {t: k for k, t in enumerate(terms, 1)}
+        want = np.zeros((len(terms) + 1,) * 2)
+        want[range(1, len(at) + 1), range(1, len(at) + 1)] = 1.0
+        for (a, b), s in expected.items():
+            if a in at and b in at:
+                want[at[a], at[b]] = want[at[b], at[a]] = s
+        assert store.terms == terms
+        assert [s.hex() for s in store.block.ravel().tolist()] == [s.hex() for s in want.ravel().tolist()]
+        exported = _exported(graph, lam, eps, restrict)[1]
+        assert {key: s.hex() for key, s in exported.items()} == {key: s.hex() for key, s in expected.items()}
         search = oracles.bfs_distances if graph.kind == "g1" else oracles.dijkstra_distances
         keep = (lambda d: math.exp(-d / lam) > eps) if eps > 0 else None
         for src in graph.adj:

@@ -1,6 +1,7 @@
 """Tooling outside the package: the benchmark's tracer and the scripts must still run."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -79,3 +80,21 @@ def test_output_digests_runs_every_command(tmp_path):
     assert len(list((tmp_path / "out" / "work" / "cache").iterdir())) == 3  # g1 and dic at 1, dic at 2
     for name in ("relate-soft-ic-dic-w3-pairs", "relate-mts-g1-w16-pairs", "simmatrix-g1-l1"):
         assert digests[f"{name}-cached.tsv"] == digests[f"{name}.tsv"]
+
+
+def test_paper_scale_runs_the_sweep_on_a_patched_world(tmp_path, monkeypatch, capsys):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import paper_scale
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    monkeypatch.setattr(paper_scale, "WORLD", dict(seed=1, n_roots=4, terms_per_root=80, n_topics=3,
+                                                   docs_per_topic=24, pool_size=12))
+    assert paper_scale.main(["--ic", "corpus", "--work", str(tmp_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    csv_file = tmp_path / "reference9-corpus.csv"
+    assert result["outcome"] == "finished" and result["peak_rss_mb"] > 0
+    assert result["csv_sha256"] == hashlib.sha256(csv_file.read_bytes()).hexdigest()
+    with open(csv_file, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9 and all(row["n_errors"] == "0" for row in rows)
