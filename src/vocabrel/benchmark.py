@@ -29,11 +29,14 @@ import csv
 import enum
 import functools
 import hashlib
+import json
 import logging
 import math
+import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +45,9 @@ from .errors import ParseError, VocabrelError
 from .infocontent import FreqTable, information_content, descendant_closure, term_frequencies
 from .model import Corpus, Vocabulary, _iter_lines, _open_out, _source_path
 from .relatedness import MethodConfig, Scorer, _score_ids
-from .termgraph import SimMatrix, build_ic_weighted_graph, build_unweighted_graph, similarity_matrix
+from .termgraph import (
+    ENTRY_RULE, SimMatrix, TermGraph, build_ic_weighted_graph, build_unweighted_graph, similarity_matrix,
+)
 
 log = logging.getLogger(__name__)
 
@@ -485,20 +490,34 @@ def run_benchmark(
     )
 
 
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
+
+
+def _graph_digest(graph: TermGraph) -> str:
+    """SHA-256 over a graph's CSR form: its sorted ids, adjacency and edge weights."""
+    csr = graph.csr
+    digest = hashlib.sha256(json.dumps(csr.terms).encode())
+    for array in (csr.indptr, csr.indices, csr.weights):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class ArtifactSet:
     """Shared inputs for a sweep: the IC table, graphs and similarity matrices.
 
-    Each is built when first asked for and kept in memory only;
-    ``cli.Workspace`` also keeps the matrices on disk.  ``eps`` is only the
-    default floor for ``matrix``; a scorer's matrix uses the floor of its
-    own configuration.
+    Each is built when first asked for and kept in memory; given a ``cache``
+    directory, ``matrix`` also keeps each similarity matrix there, as
+    ``--cache`` does.  ``eps`` is only the default floor for ``matrix``; a
+    scorer's matrix uses the floor of its own configuration.
     """
 
     vocab: Vocabulary
     corpus: Corpus | None = None
     freq: FreqTable | None = None
     eps: float = 1e-4
+    cache: str | None = None
     _ic: object = field(default=None, repr=False)
     _graphs: dict = field(default_factory=dict, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
@@ -525,15 +544,50 @@ class ArtifactSet:
         return self._graphs[kind]
 
     def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
+        """The store of ``kind`` at ``lam`` and ``eps``: from memory, else the cache, else built.
+
+        A cached store's file is named by a digest of exactly what its search
+        reads: the graph kind, lambda and eps, the graph's CSR arrays (which
+        hold dic's IC values) and the search sources.  Its header records that
+        digest with ``ENTRY_RULE``.  A file that fails to load (cut short,
+        edited) or that records another digest is reported and rebuilt.
+        """
         if eps is None:
             eps = self.eps
         key = (kind, lam, eps)
-        if key not in self._matrices:
-            restrict = self.corpus.term_ids() if self.corpus is not None else None
-            self._matrices[key] = similarity_matrix(
-                self.graph(kind), lam=lam, eps=eps, restrict=restrict
-            )
-        return self._matrices[key]
+        if key in self._matrices:
+            return self._matrices[key]
+        restrict = self.corpus.term_ids() if self.corpus is not None else None
+        if not self.cache:
+            matrix = self._matrices[key] = similarity_matrix(self.graph(kind), lam=lam, eps=eps, restrict=restrict)
+            return matrix
+        Path(self.cache).mkdir(parents=True, exist_ok=True)  # fail before the search, not after it
+        sources = sorted(restrict) if restrict is not None else None
+        parts = [kind, f"{lam:.17g}", f"{eps:.17g}", _graph_digest(self.graph(kind)), json.dumps(sources)]
+        path = Path(self.cache) / f"simmatrix-{_digest(*parts)[:24]}.npz"
+        digest = _digest(*parts, ENTRY_RULE)  # a store built under another rule keeps its name
+        if path.exists():
+            try:
+                matrix = SimMatrix.load(path)
+            except ParseError as exc:
+                log.warning("cached similarity matrix unreadable, rebuilding: %s", exc)
+            else:
+                # digest collisions are hypothetical, a file copied under another name is not
+                if (matrix.kind, matrix.lam, matrix.eps, matrix.inputs) == (*key, digest):
+                    log.info("cache hit: similarity matrix %s", path.name)
+                    self._matrices[key] = matrix
+                    return matrix
+                log.warning("cached similarity matrix %s does not match the request, rebuilding", path.name)
+        built = similarity_matrix(self.graph(kind), lam=lam, eps=eps, restrict=restrict)
+        matrix = self._matrices[key] = replace(built, inputs=digest)
+        # write a temporary file, then move it into place: no reader sees a half-written file
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            matrix.save(tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return matrix
 
     def scorer(self, config: MethodConfig) -> Scorer:
         config.validate()

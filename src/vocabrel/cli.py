@@ -15,21 +15,20 @@ A command whose ``--out`` names a regular file also writes
 ``<out>.manifest.json`` with the parameters, SHA-256 digests of the inputs
 and outputs, and timing.
 Result files themselves contain no timestamps, so a rerun with identical
-inputs is byte-identical.  ``--cache DIR`` keeps similarity matrices for reuse
-across ``relate``, ``bench`` and ``sweep``, each named by a digest of what its
-search reads; ``ic``, ``graph`` and ``simmatrix`` accept it and ignore it.
+inputs is byte-identical.  ``--cache DIR`` is the ``cache`` of the
+``benchmark.ArtifactSet`` each command reads its artifacts from: it keeps
+similarity matrices for reuse across ``relate``, ``bench`` and ``sweep``, each
+named by a digest of what its search reads; ``ic``, ``graph`` and
+``simmatrix`` accept it and ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import itertools
 import json
 import logging
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -51,7 +50,7 @@ from .benchmark import (
     write_distributions,
     write_results_csv,
 )
-from .errors import ConfigError, CycleError, MissingDataError, ParseError, VocabrelError
+from .errors import ConfigError, CycleError, MissingDataError, VocabrelError
 from .infocontent import load_frequencies, save_ic_table
 from .mesh import convert_mesh
 from .model import (
@@ -70,7 +69,7 @@ from .relatedness import (
     read_scores,
     write_scores,
 )
-from .termgraph import ENTRY_RULE, SimMatrix, TermGraph, export_similarities, save_graph
+from .termgraph import export_similarities, save_graph
 
 log = logging.getLogger("vocabrel")
 
@@ -82,10 +81,6 @@ _INPUT_ARGS = (
     "descriptors", "qualifiers",
 )
 _OUTPUT_ARGS = ("out", "dump_dist")
-
-
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
 def _write_manifest(args: argparse.Namespace, started: float) -> None:
@@ -109,67 +104,12 @@ def _write_manifest(args: argparse.Namespace, started: float) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-@dataclasses.dataclass
-class Workspace(ArtifactSet):
-    """ArtifactSet that keeps each similarity matrix in the ``cache`` directory, when given.
-
-    A store's file is named by a digest of exactly what its search reads:
-    the graph kind, lambda and eps, the graph's CSR arrays (which hold dic's
-    IC values) and the search sources.  Its header records that digest with
-    ``ENTRY_RULE``.  A file that fails to load (cut short, edited) or that
-    records another digest is reported and rebuilt.
-    """
-
-    cache: str | None = None
-
-    # perfbench/tracer.py wraps Workspace.ic_table by name until ROADMAP item 1 moves its cache
-    # probe; no cache stands behind it, since computing IC costs about what loading it did
-    ic_table = ArtifactSet.ic_table
-
-    def matrix(self, kind: str, lam: float, eps: float | None = None) -> SimMatrix:
-        if eps is None:
-            eps = self.eps
-        key = (kind, lam, eps)
-        if key in self._matrices or not self.cache:
-            return super().matrix(kind, lam, eps)
-        sources = sorted(self.corpus.term_ids()) if self.corpus is not None else None
-        parts = [kind, f"{lam:.17g}", f"{eps:.17g}", _graph_digest(self.graph(kind)), json.dumps(sources)]
-        path = Path(self.cache) / f"simmatrix-{_digest(*parts)[:24]}.npz"
-        digest = _digest(*parts, ENTRY_RULE)  # a store built under another rule keeps its name
-        if path.exists():
-            try:
-                matrix = SimMatrix.load(path)
-            except ParseError as exc:
-                log.warning("cached similarity matrix unreadable, rebuilding: %s", exc)
-            else:
-                # digest collisions are hypothetical, a file copied under another name is not
-                if (matrix.kind, matrix.lam, matrix.eps, matrix.inputs) == (*key, digest):
-                    log.info("cache hit: similarity matrix %s", path.name)
-                    self._matrices[key] = matrix
-                    return matrix
-                log.warning("cached similarity matrix %s does not match the request, rebuilding", path.name)
-        matrix = self._matrices[key] = dataclasses.replace(super().matrix(kind, lam, eps), inputs=digest)
-        # write a temporary file, then move it into place: no reader sees a half-written file
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            matrix.save(tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return matrix
+# perfbench/tracer.py finds ic_table and matrix, which its cache probe wraps, under this name;
+# ROADMAP item 1 re-points the probe at ArtifactSet and deletes the alias
+Workspace = ArtifactSet
 
 
-def _graph_digest(graph: TermGraph) -> str:
-    """SHA-256 over a graph's CSR form: its sorted ids, adjacency and edge weights."""
-    csr = graph.csr
-    digest = hashlib.sha256(json.dumps(csr.terms).encode())
-    for array in (csr.indptr, csr.indices, csr.weights):
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def _workspace(args: argparse.Namespace) -> Workspace:
+def _workspace(args: argparse.Namespace) -> ArtifactSet:
     vocab = parse_vocabulary(args.vocab)
     report = validate(vocab)
     if not report.ok:
@@ -194,7 +134,7 @@ def _workspace(args: argparse.Namespace) -> Workspace:
         "loaded %d terms, %d edges, %d qualifiers; %d documents",
         report.n_terms, report.n_edges, report.n_qualifiers, n_docs,
     )
-    return Workspace(
+    return ArtifactSet(
         vocab=vocab,
         corpus=corpus,
         freq=freq,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vocabrel import benchmark
 from vocabrel.benchmark import (
     ArtifactSet,
     BenchResult,
@@ -35,6 +36,7 @@ from vocabrel.benchmark import (
     write_judgements,
     write_results_csv,
 )
+from vocabrel.cli import reference_configs
 from vocabrel.errors import MissingDataError, ParseError, VocabrelError
 from vocabrel.model import Corpus, Document
 from vocabrel.relatedness import MethodConfig, Scorer, pairwise_scores
@@ -735,6 +737,37 @@ def test_artifact_set_caches_and_guards(synth_world):
         ArtifactSet(vocab=vocab).ic_table()
     with pytest.raises(VocabrelError):
         parameter_sweep([MethodConfig("salton")], ArtifactSet(vocab=vocab), [])
+
+
+def test_artifact_set_keeps_its_stores_in_its_cache(synth_world, filtered_synth, tmp_path, monkeypatch, caplog):
+    vocab, corpus, _ = synth_world
+    cache, elsewhere = tmp_path / "cache", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+
+    def sweep(artifacts):
+        return [dataclasses.asdict(r) for r in parameter_sweep(
+            reference_configs(1e-4), artifacts, filtered_synth, iterations=3, sample_size=5)]
+
+    uncached = sweep(ArtifactSet(vocab, corpus))
+    assert list(tmp_path.iterdir()) == [elsewhere] and not list(elsewhere.iterdir())
+    first = ArtifactSet(vocab, corpus, cache=str(cache))
+    cold = sweep(first)
+    stores = sorted(cache.iterdir())
+    assert len(stores) == 3  # g1 and dic at lambda 1, dic at 2
+
+    def search(*args, **kwargs):
+        raise AssertionError("a cached store was searched again")
+
+    monkeypatch.setattr(benchmark, "similarity_matrix", search)
+    caplog.set_level("INFO")
+    second = ArtifactSet(vocab, corpus, cache=str(cache))
+    warm = sweep(second)
+    assert caplog.text.count("cache hit: similarity matrix") == 3 and sorted(cache.iterdir()) == stores
+    for kind, lam in (("g1", 1.0), ("dic", 1.0), ("dic", 2.0)):  # from each set's memo: nothing searches
+        assert second.matrix(kind, lam).block.tobytes() == first.matrix(kind, lam).block.tobytes()
+    np.testing.assert_equal(warm, cold)
+    np.testing.assert_equal(uncached, cold)
 
 
 def test_artifact_set_scorer_uses_the_config_eps(synth_world):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from vocabrel import cli, model
+from vocabrel import benchmark, model
 from vocabrel.benchmark import (
     ArtifactSet, Level, build_pairs, filter_topics, ingest_judgements, pair_key, separation_stats,
 )
@@ -439,8 +439,8 @@ def test_store_cached_under_the_earlier_entry_rule_is_rebuilt(synth_files, tmp_p
     fresh, after = tmp_path / "fresh.tsv", tmp_path / "after.tsv"
     assert run(*args, "--out", fresh) == 0
     # cache the store as the earlier rule did: its header's inputs digest names no entry rule
-    digest = cli._digest
-    monkeypatch.setattr(cli, "_digest", lambda *parts: digest(*(p for p in parts if p != ENTRY_RULE)))
+    digest = benchmark._digest
+    monkeypatch.setattr(benchmark, "_digest", lambda *parts: digest(*(p for p in parts if p != ENTRY_RULE)))
     assert run(*args, "--cache", cache, "--out", tmp_path / "earlier.tsv") == 0
     monkeypatch.undo()
     [store] = cache.glob("simmatrix-*.npz")
@@ -512,6 +512,19 @@ def test_the_cache_holds_only_similarity_matrices(synth_files, tmp_path):
                "--cache", cache, "--out", tmp_path / "ic.tsv") == 0
     [store] = cache.iterdir()
     assert store.name.startswith("simmatrix-") and store.suffix == ".npz"
+
+
+def test_a_cache_directory_that_cannot_be_made_fails_before_the_search(synth_files, tmp_path, caplog, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.write_text("")  # a file where the directory would go
+
+    def search(*args, **kwargs):
+        raise AssertionError("the store was searched before the cache directory was made")
+
+    monkeypatch.setattr(benchmark, "similarity_matrix", search)
+    args = _soft_relate(synth_files, "--corpus", synth_files["corpus"], "--graph", "g1", "--cache", cache)
+    assert run(*args, "--out", tmp_path / "scores.tsv") == 1
+    assert str(cache) in caplog.text
 
 
 def test_ic_orders_the_vocabulary_once(synth_files, tmp_path, monkeypatch):

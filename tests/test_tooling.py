@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,6 +41,38 @@ def test_traced_sweep_times_classification(tmp_path):
     traced = json.loads(trace.read_text())
     assert traced["missing"] == []
     assert traced["seconds"]["benchmark.classify_s"] > 0
+
+
+def _traced(cwd, *argv):
+    """The trace of one ``vocab-relate`` command run under the tracer from ``cwd``."""
+    trace = cwd / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace), "--", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text())
+
+
+@pytest.mark.parametrize("command, stores", [
+    (("sweep", "--judgements", "judgements.tsv", "--preset", "reference9",
+      "--iterations", 3, "--sample-size", 3), 3),
+    (("relate", "--method", "soft", "--vector", "binary", "--graph", "dic", "--lambda", 1), 1),
+], ids=["sweep-reference9", "relate-soft-dic"])
+def test_traced_rerun_with_a_cache_loads_every_store(tmp_path, command, stores):
+    made = _script(tmp_path, "make_synthetic_data.py", "--out-dir", tmp_path / "world",
+                   "--topics", 2, "--docs-per-topic", 12)
+    assert made.returncode == 0, made.stderr
+    argv = (*command, "--vocab", "vocab.jsonl", "--corpus", "corpus.jsonl", "--cache", "cache", "--out", "out")
+    _traced(tmp_path / "world", *argv)
+    traced = _traced(tmp_path / "world", *argv)
+    counts = {key: traced["counts"].get(key, 0) for key in (
+        "cli.cache_hits", "cli.cache_misses", "termgraph.store_builds", "termgraph.store_loads")}
+    # the one miss is the IC table, which the dic graph reads and the cache does not keep
+    assert counts == {"cli.cache_hits": stores, "cli.cache_misses": 1,
+                      "termgraph.store_builds": 0, "termgraph.store_loads": stores}
+    assert traced["missing"] == []
 
 
 def _script(tmp_path, name, *args):
